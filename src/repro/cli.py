@@ -1247,7 +1247,7 @@ def _simsan_context(args: argparse.Namespace):
     """
     from contextlib import nullcontext
 
-    from .lint.simsan import SimSanitizer, env_enabled, installed
+    from .sim.simsan import SimSanitizer, env_enabled, installed
 
     if getattr(args, "simsan", False) or env_enabled():
         return installed(SimSanitizer())

@@ -19,7 +19,7 @@ batch, shipped from a service node to a data-node replica.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Tuple
 
 from ..errors import SimulationError
@@ -78,13 +78,6 @@ class ServiceNode:
         self.cache = cache
         self.active = True
         self.outstanding_requests = 0  # dispatched, not yet merged
-        self.arrived = 0
-        self.shed = 0
-        self.cache_hits = 0
-
-    @property
-    def depth(self) -> int:
-        return self.core.depth
 
 
 class DataNode:
@@ -147,4 +140,3 @@ class FleetCounters:
     scale_ups: int = 0
     scale_downs: int = 0
     batches: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)

@@ -22,7 +22,7 @@ import numpy as np
 from ..config import ECSSDConfig
 from ..errors import ConfigurationError
 from ..layout.placement import WeightPlacement
-from ..lint.simsan import get_sanitizer
+from ..sim.simsan import get_sanitizer
 from ..obs.digest import DigestRecorder
 from ..ssd.controller import CommandKind, FlashCommand
 from ..ssd.device import SSDDevice

@@ -30,7 +30,7 @@ from ..analysis.metrics import topk_retention
 from ..config import ECSSDConfig
 from ..core.ecssd import ECSSDevice
 from ..errors import WorkloadError
-from ..lint.simsan import get_sanitizer
+from ..sim.simsan import get_sanitizer
 from ..obs.digest import DigestRecorder
 from ..units import us
 from ..workloads.synthetic import make_workload

@@ -1,19 +1,20 @@
 """reprolint — simulator-aware static analysis for the ECSSD reproduction.
 
 The discrete-event simulator's value rests on bit-for-bit determinism
-(``repro.ssd.events`` promises insertion-order tie-breaking and run-to-run
-reproducibility).  This package mechanically enforces the bug classes that
-quietly break that promise: wall-clock reads, unseeded RNG, float-equality on
-simulated time, unit-less duration literals, late-binding closures in
-scheduled callbacks, hash-ordered set iteration, and blanket exception
-handlers.  See DESIGN.md's "Determinism contract" for the rule-by-rule
+(the event kernel, :mod:`repro.sim.kernel`, promises insertion-order
+tie-breaking and run-to-run reproducibility).  This package mechanically
+enforces the bug classes that quietly break that promise: wall-clock reads,
+unseeded RNG, float-equality on simulated time, unit-less duration literals,
+late-binding closures in scheduled callbacks, hash-ordered set iteration,
+and blanket exception handlers.  See DESIGN.md's "Determinism contract" for the rule-by-rule
 rationale.
 
 Beyond the per-file rules, ``--deep`` runs whole-program passes over one
 shared project graph (:mod:`repro.lint.project`): interprocedural seed
 provenance, unit/dimension flow, and the package layering contract.  The
-runtime half lives in :mod:`repro.lint.simsan` — a zero-overhead-when-
-disabled sanitizer asserting the same contract on live event loops.
+runtime half lives beside the kernel in :mod:`repro.sim.simsan` — a
+zero-overhead-when-disabled sanitizer asserting the same contract on live
+event loops — so simulation processes never import this package.
 
 Usage::
 

@@ -23,14 +23,14 @@ from .project import DeepRule, ProjectGraph
 #: Units every package may import freely: leaf utilities with no sim state
 #: (errors, units), the config layer that roots all seeds, observability
 #: (importable everywhere by design — the zero-overhead guard keeps it out of
-#: the hot path), and the lint package itself (the simsan runtime guard is
-#: consumed by sim layers the same way obs is).
+#: the hot path), and the simulation kernel with its runtime sanitizer (every
+#: event loop runs on it).  The linter is not here: only the CLI loads it.
 UNIVERSAL: Tuple[str, ...] = (
     "repro.errors",
     "repro.units",
     "repro.obs",
     "repro.config",
-    "repro.lint",
+    "repro.sim",
 )
 
 #: Allowed cross-package import edges beyond :data:`UNIVERSAL`, keyed by the
@@ -65,6 +65,7 @@ ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
         "repro.cluster",
         "repro.core",
         "repro.faults",
+        "repro.lint",
         "repro.serve",
         "repro.ssd",
         "repro.workloads",
@@ -99,6 +100,7 @@ ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
         "repro.layout",
         "repro.workloads",
     ),
+    "repro.sim": (),
     "repro.ssd": ("repro.faults",),
     "repro.units": (),
     "repro.workloads": (),

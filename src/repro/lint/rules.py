@@ -42,7 +42,7 @@ from .findings import Finding, Severity
 EXCLUDED_PACKAGES: Dict[str, str] = {
     "repro.lint": (
         "the linter itself must name banned wall-clock/RNG symbols to detect "
-        "them, and the simsan runtime guard wraps numpy.random by design"
+        "them"
     ),
     "repro.obs": (
         "scoping the obs package root would prefix-match every telemetry "

@@ -22,10 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .tracing import DIGEST_TRACK, SpanRecord
+
+#: Returns a loop's counter snapshot; called only on a capturing tick.
+Snapshot = Callable[[], Mapping[str, object]]
 
 #: Hex digits kept from the sha256 — plenty to make collisions between two
 #: runs of the same scenario practically impossible, short enough to read.
@@ -106,11 +109,18 @@ class DigestRecorder:
     def ticks(self) -> int:
         return self._ticks
 
-    def tick(self, sim_time: float, **state: object) -> Optional[DigestEntry]:
-        """Count one step; capture a digest on every ``interval``-th call."""
+    def tick(
+        self, sim_time: float, snapshot: Optional[Snapshot] = None, **state: object
+    ) -> Optional[DigestEntry]:
+        """Count one step; capture a digest on every ``interval``-th call.
+
+        ``snapshot``, called only when capturing, extends ``state``.
+        """
         self._ticks += 1
         if self._ticks % self.interval:
             return None
+        if snapshot is not None:
+            state.update(snapshot())
         return self.capture(sim_time, **state)
 
     def capture(self, sim_time: float, **state: object) -> DigestEntry:

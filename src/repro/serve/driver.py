@@ -5,10 +5,10 @@
 
     arrive -> admit / shed -> queue -> deadline batch -> route -> complete
 
-on a single event heap with three event kinds — completions, batch-close
-deadlines, and arrivals — ordered by ``(time, kind, sequence)`` so ties
-resolve identically on every run.  Completions sort first (a freed replica
-can take work arriving at the same instant), then deadlines, then arrivals.
+on one :class:`~repro.sim.kernel.EventKernel` (which fixes the tie-break
+order) with three event kinds: completions sort first (a freed replica can
+take work arriving at the same instant), then batch-close deadlines, then
+arrivals.
 
 Dispatch policy: a batch leaves the queue when the :class:`DeadlineBatcher`
 says it must (knee reached, or the head request's slack is gone) *or*, when
@@ -25,7 +25,6 @@ load at which the configured cluster saturates (the bench's 1x point).
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -33,10 +32,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError, WorkloadError
-from ..lint.simsan import get_sanitizer
 from ..obs import SERVE_TRACK, get_registry, get_tracer
 from ..obs.causal import get_collector
 from ..obs.digest import DigestRecorder
+from ..sim.kernel import EventKernel
 from .admission import AdmissionConfig, AdmissionController
 from .degrade import DegradationLadder
 from .node import ServiceNodeCore
@@ -102,9 +101,6 @@ class ServingSimulator:
         self.digest_recorder = digest_recorder
 
     # -- helpers -------------------------------------------------------------
-    def _pending(self, core: ServiceNodeCore) -> int:
-        return core.pending(self.router.inflight_requests)
-
     def _pressure(self, core: ServiceNodeCore) -> float:
         fallback = self.batcher.knee * len(self.router.replicas) * 4
         return core.pressure(self.router.inflight_requests, fallback)
@@ -141,18 +137,28 @@ class ServingSimulator:
         completed: List[CompletedRequest] = []
         shed: List[ShedRequest] = []
         batches: List[BatchRecord] = []
-        heap: List[Tuple[float, int, int, int]] = []
-        seq = 0
+
+        def snapshot() -> Dict[str, object]:
+            return {
+                "queue_depth": core.depth,
+                "waiting": len(core.waiting),
+                "inflight": len(inflight),
+                "completed": len(completed),
+                "shed": len(shed),
+                "batches": len(batches),
+                "degrade_level": self.ladder.level,
+                "seq": kernel.seq,
+            }
+
+        kernel = EventKernel("serve", self.digest_recorder, snapshot)
         for index in range(int(times.size)):
-            heapq.heappush(heap, (float(times[index]), _KIND_ARRIVAL, seq, index))
-            seq += 1
+            kernel.push(float(times[index]), _KIND_ARRIVAL, index)
 
         registry = get_registry()
         tracer = get_tracer()
         collector = get_collector()
 
         def dispatch(now: float) -> None:
-            nonlocal seq
             replica = self.router.route()
             if replica is None:
                 raise SimulationError("dispatch with no replica capacity")
@@ -171,15 +177,15 @@ class ServingSimulator:
             )
             completion = now + duration
             self.router.acquire(replica, len(batch))
-            inflight[seq] = _InflightBatch(
+            token = kernel.seq
+            inflight[token] = _InflightBatch(
                 replica=replica,
                 requests=tuple(batch),
                 dispatch_time=now,
                 completion=completion,
                 degrade_level=level,
             )
-            heapq.heappush(heap, (completion, _KIND_COMPLETION, seq, seq))
-            seq += 1
+            kernel.push(completion, _KIND_COMPLETION, token)
             if registry.enabled:
                 registry.counter(
                     "serve_batches_total", "batches dispatched by the serving layer"
@@ -223,28 +229,7 @@ class ServingSimulator:
                     break
                 dispatch(now)
 
-        recorder = self.digest_recorder
-        sanitizer = get_sanitizer()
-
-        while heap:
-            now, kind, order, payload = heapq.heappop(heap)
-            if sanitizer.enabled:
-                # The heap tuple IS the tie-breaking contract: (time, kind,
-                # seq) must strictly increase across pops.
-                sanitizer.observe_pop("serve", now, key=(now, kind, order))
-            if recorder is not None:
-                recorder.tick(
-                    now,
-                    kind=kind,
-                    queue_depth=core.depth,
-                    waiting=len(core.waiting),
-                    inflight=len(inflight),
-                    completed=len(completed),
-                    shed=len(shed),
-                    batches=len(batches),
-                    degrade_level=self.ladder.level,
-                    seq=seq,
-                )
+        for now, kind, _seq, payload in kernel.drain():
             if kind == _KIND_COMPLETION:
                 batch_state = inflight.pop(payload)
                 self.router.release(
@@ -305,16 +290,9 @@ class ServingSimulator:
                             f"shed/{reason}", sim_time=now, track=SERVE_TRACK
                         )
                     continue
-                heapq.heappush(
-                    heap,
-                    (
-                        core.close_time(request),
-                        _KIND_DEADLINE,
-                        seq,
-                        request.request_id,
-                    ),
+                kernel.push(
+                    core.close_time(request), _KIND_DEADLINE, request.request_id
                 )
-                seq += 1
                 drain(now)
 
         if core.depth != 0 or core.waiting or inflight:
@@ -330,24 +308,13 @@ class ServingSimulator:
                 f"!= {times.size} arrived"
             )
         completed.sort(key=lambda c: (c.completion, c.request.request_id))
-        if recorder is not None:
+        if self.digest_recorder is not None:
             # End-of-run checkpoint: catches tail perturbations shorter than
             # one digest interval.
             final_time = max(
                 (c.completion for c in completed), default=float(times[-1])
             )
-            recorder.capture(
-                final_time,
-                kind=-1,
-                queue_depth=0,
-                waiting=0,
-                inflight=0,
-                completed=len(completed),
-                shed=len(shed),
-                batches=len(batches),
-                degrade_level=self.ladder.level,
-                seq=seq,
-            )
+            self.digest_recorder.capture(final_time, kind=-1, **snapshot())
         report = ServingReport(
             slo=self.slo,
             arrived=int(times.size),

@@ -6,9 +6,10 @@ or ``--simsan`` on the serve/faults CLIs) it watches:
 
 * **pop order** — every event-loop pop must carry a finite, non-NaN,
   monotonically non-decreasing sim time per track, and when the loop has a
-  tie-breaking key (the serving heap's ``(time, kind, seq)`` tuple) the keys
-  must be *strictly* increasing — a duplicate key means the tie-break is
-  ambiguous and replay order is luck;
+  tie-breaking key (the event kernel's ``(time, kind, seq)`` key,
+  :mod:`repro.sim.kernel`) the keys must be *strictly* increasing — a
+  repeated or falling key means the tie-break is ambiguous and replay order
+  is luck;
 * **derived times** — any checked quantity (flash makespans, fault-cell
   latencies) must be finite and non-negative;
 * **RNG discipline** — while installed, ``numpy.random.default_rng()``
@@ -248,12 +249,14 @@ class SimSanitizer:
             f"simsan: {len(self.violations)} violation(s) "
             f"({self.pops_observed} pops, {self.checks_performed} checks)"
         ]
-        spans = self._tracer_spans()
+        from ..obs import get_tracer  # late: obs loads layers that load the kernel
+        from ..obs.digest import spans_in_window
+
+        tracer = get_tracer()
+        spans = list(tracer.spans) if tracer.enabled else []
         for violation in self.violations:
             lines.append("  " + violation.format())
             if violation.sim_time is not None and spans:
-                from ..obs.digest import spans_in_window
-
                 window = spans_in_window(
                     spans, violation.sim_time, violation.sim_time
                 )
@@ -264,24 +267,11 @@ class SimSanitizer:
                     )
         return "\n".join(lines)
 
-    def _tracer_spans(self) -> List[Any]:
-        try:
-            from .. import obs
-
-            tracer = obs.get_tracer()
-            if getattr(tracer, "enabled", False):
-                return list(getattr(tracer, "spans", []))
-        except Exception:  # pragma: no cover - obs optional at runtime
-            pass
-        return []
-
 
 class NullSimSanitizer:
     """Zero-overhead stand-in while the sanitizer is off."""
 
     enabled = False
-    strict = False
-    violations: List[SimSanViolation] = []
 
     def observe_pop(
         self,
@@ -294,9 +284,6 @@ class NullSimSanitizer:
     def check_time(
         self, label: str, value: float, sim_time: Optional[float] = None
     ) -> None:
-        return None
-
-    def register_stream(self, name: str, seed: object) -> None:
         return None
 
     def summary(self) -> Dict[str, object]:

@@ -23,8 +23,8 @@ from repro.cluster import (
     cluster_saturating_rate,
 )
 from repro.faults import ClusterFaultConfig
-from repro.lint.simsan import SimSanitizer
-from repro.lint.simsan import installed as simsan_installed
+from repro.sim import SimSanitizer
+from repro.sim import installed as simsan_installed
 from repro.obs import DigestRecorder, RunManifest, Tracer, diverge_runs
 from repro.obs.causal import (
     FAULT_CLASSES,

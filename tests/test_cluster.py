@@ -25,7 +25,7 @@ from repro.cluster import (
 )
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.faults import ClusterFaultConfig, ClusterFaultPlan
-from repro.lint.simsan import SimSanitizer, installed
+from repro.sim import SimSanitizer, installed
 from repro.obs.runs import derive_run_id
 from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
@@ -311,6 +311,16 @@ class TestFleetRuns:
         assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
             second.to_dict(), sort_keys=True
         )
+
+    def test_reused_simulator_replays_identically(self):
+        # Nodes, caches, the autoscaler and the active-node count are per
+        # run: a second run() on one instance must not start warm.
+        rate = 1.5 * cluster_saturating_rate(SERVICE, CONFIG)
+        arrivals = poisson_arrivals(rate, 3000, seed=7)
+        simulator = build_cluster(SERVICE, CONFIG, seed=7, fault_config=FAULTED)
+        first = json.dumps(simulator.run(arrivals).to_dict(), sort_keys=True)
+        second = json.dumps(simulator.run(arrivals).to_dict(), sort_keys=True)
+        assert first == second
 
     def test_cache_serves_hot_keys(self):
         report = run_fleet(0.8)

@@ -1,46 +1,47 @@
-"""Tests for the discrete-event engine (repro.ssd.events)."""
+"""Tests for the event kernel (repro.sim.kernel) and the flash DES engine
+(repro.ssd.events) that runs on it."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.ssd.events import EventQueue, Resource, Simulator
+from repro.sim import EventKernel
+from repro.ssd.events import Resource, Simulator
 
 
 class TestEventQueue:
     def test_orders_by_time(self):
-        q = EventQueue()
+        q = EventKernel("test")
         order = []
-        q.push(2.0, lambda: order.append("b"))
-        q.push(1.0, lambda: order.append("a"))
-        q.push(3.0, lambda: order.append("c"))
-        while q:
-            _, cb = q.pop()
+        q.push(2.0, 0, lambda: order.append("b"))
+        q.push(1.0, 0, lambda: order.append("a"))
+        q.push(3.0, 0, lambda: order.append("c"))
+        for _time, _kind, _seq, cb in q.drain():
             cb()
         assert order == ["a", "b", "c"]
 
     def test_ties_fire_in_insertion_order(self):
-        q = EventQueue()
+        q = EventKernel("test")
         order = []
         for name in "abc":
-            q.push(1.0, lambda n=name: order.append(n))
-        while q:
-            q.pop()[1]()
+            q.push(1.0, 0, lambda n=name: order.append(n))
+        for event in q.drain():
+            event[3]()
         assert order == ["a", "b", "c"]
 
     def test_peek_time(self):
-        q = EventQueue()
+        q = EventKernel("test")
         assert q.peek_time() is None
-        q.push(5.0, lambda: None)
+        q.push(5.0, 0, lambda: None)
         assert q.peek_time() == 5.0
 
     def test_rejects_negative_time(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
+            EventKernel("test").push(-1.0, 0, lambda: None)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_rejects_non_finite_time(self, bad):
         with pytest.raises(SimulationError, match="non-finite"):
-            EventQueue().push(bad, lambda: None)
+            EventKernel("test").push(bad, 0, lambda: None)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_simulator_rejects_non_finite_schedule(self, bad):
@@ -53,9 +54,9 @@ class TestEventQueue:
             sim.schedule_at(bad, lambda: None)
 
     def test_len(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
+        q = EventKernel("test")
+        q.push(1.0, 0, lambda: None)
+        q.push(2.0, 0, lambda: None)
         assert len(q) == 2
 
 

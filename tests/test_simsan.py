@@ -1,4 +1,4 @@
-"""Tests for the runtime sim-sanitizer (repro.lint.simsan).
+"""Tests for the runtime sim-sanitizer (repro.sim.simsan).
 
 The contract under test: (1) a disabled sanitizer is a no-op and an enabled
 one only *observes* — a sanitized run is bit-identical to a plain run at the
@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.cli import main as repro_main
 from repro.errors import SimulationError
-from repro.lint.simsan import (
+from repro.sim.simsan import (
     NULL_SANITIZER,
     SimSanitizer,
     env_enabled,
