@@ -234,23 +234,22 @@ def _cmd_trace_attribute(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote {args.out}")
     if args.exemplar_out:
-        exemplars = list(attribution.slowest) + list(attribution.sampled)
-        if not exemplars:
+        if args.exemplar is not None:
+            chosen = collector.trace(args.exemplar)
+            if chosen is None:
+                arrived = 0 <= args.exemplar < len(arrivals)
+                print(
+                    f"request {args.exemplar} "
+                    f"{'was shed' if arrived else 'never arrived'}; "
+                    f"no causal graph to export"
+                )
+                return 1
+        else:
+            exemplars = attribution.slowest + attribution.sampled
+            chosen = exemplars[0] if exemplars else None
+        if chosen is None:
             print("no exemplars captured; skipping Chrome-trace export")
         else:
-            chosen = exemplars[0]
-            if args.exemplar is not None:
-                matches = [
-                    t for t in exemplars if t.request_id == args.exemplar
-                ]
-                if not matches:
-                    known = ", ".join(t.trace_id for t in exemplars)
-                    print(
-                        f"request {args.exemplar} is not a captured "
-                        f"exemplar (have: {known})"
-                    )
-                    return 1
-                chosen = matches[0]
             with open(args.exemplar_out, "w", encoding="utf-8") as fh:
                 json.dump(trace_to_chrome(chosen), fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -1357,7 +1356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attribute.add_argument(
         "--exemplar", type=int, default=None, metavar="REQUEST_ID",
-        help="which exemplar to export (default: the slowest request)",
+        help="which completed request to export (default: the slowest)",
     )
     _add_simsan(attribute)
     _add_verbose(attribute)

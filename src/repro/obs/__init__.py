@@ -37,7 +37,6 @@ from .causal import (
     CausalCollector,
     NullCausalCollector,
     RequestTrace,
-    TailExemplarStore,
     get_collector,
     set_collector,
     trace_spans,
@@ -207,7 +206,6 @@ __all__ = [
     "CausalCollector",
     "NullCausalCollector",
     "RequestTrace",
-    "TailExemplarStore",
     "get_collector",
     "set_collector",
     "trace_spans",

@@ -8,33 +8,33 @@ retries, steal/failover/park-unpark, and top-k merge — and decomposes each
 completed request into a stage-bucketed critical path whose stage durations
 sum *exactly* (telescoping boundary timestamps) to the end-to-end latency.
 
-Three layers:
+Two layers:
 
 * :class:`CausalCollector` — the process-global observer the simulators
   call into behind the established zero-overhead-when-disabled guard
   (:func:`get_collector` returns :data:`NULL_COLLECTOR` unless one is
   installed, mirroring ``repro.faults.injector``).  The collector is
   observe-only: it consumes no simulator RNG and touches no timing
-  arithmetic, so trace-enabled runs keep bit-identical run IDs.
-* :class:`TailExemplarStore` — deterministic tail-exemplar capture: the K
-  slowest requests end-to-end (min-heap, request-id tie-break) plus a
-  seeded Algorithm-R reservoir sample of the rest, byte-identical per seed.
+  arithmetic, so trace-enabled runs keep bit-identical run IDs.  It keeps
+  each completed request as a few entries in compact columns and builds
+  :class:`RequestTrace` objects only on demand.
 * :class:`AttributionReport` — answers "where does p99 live" per stage and
   per fault class, with p50/p95/p99/p99.9 per stage, an ECC-tier section,
-  and Chrome-trace export of any exemplar's causal graph
-  (:func:`trace_to_chrome`).
+  deterministic tail exemplars (the K slowest requests plus a seeded
+  Algorithm-R sample, byte-identical per seed), and Chrome-trace export of
+  any request's causal graph (:func:`trace_to_chrome`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ObservabilityError, SimulationError
+from ..errors import SimulationError
 from .tracing import SpanRecord
 
 # ---------------------------------------------------------------------------
@@ -216,62 +216,6 @@ def trace_to_chrome(trace: RequestTrace) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic tail-exemplar capture
-# ---------------------------------------------------------------------------
-
-
-class TailExemplarStore:
-    """K slowest requests + seeded Algorithm-R sample of the whole stream.
-
-    The slowest set is exact (min-heap keyed ``(latency, -request_id)`` so
-    latency ties deterministically keep the smaller request id).  The
-    reservoir draws from an explicit ``default_rng((seed, salt))`` stream,
-    so the kept sample is a pure function of (seed, offer order) —
-    byte-identical run to run.
-    """
-
-    def __init__(self, slowest_k: int = 8, sample_size: int = 16, seed: int = 0):
-        self.slowest_k = int(slowest_k)
-        self.sample_size = int(sample_size)
-        self.seed = int(seed)
-        self._heap: List[Tuple[float, int, RequestTrace]] = []
-        self._rng = np.random.default_rng((seed, _EXEMPLAR_SALT))
-        self._reservoir: List[Tuple[int, RequestTrace]] = []
-        self.offered = 0
-
-    def offer(self, trace: RequestTrace) -> None:
-        if self.slowest_k > 0:
-            entry = (trace.latency, -trace.request_id, trace)
-            if len(self._heap) < self.slowest_k:
-                heapq.heappush(self._heap, entry)
-            elif entry > self._heap[0]:
-                heapq.heappushpop(self._heap, entry)
-        if self.sample_size > 0:
-            index = self.offered
-            if len(self._reservoir) < self.sample_size:
-                self._reservoir.append((index, trace))
-            else:
-                slot = int(self._rng.integers(0, index + 1))
-                if slot < self.sample_size:
-                    self._reservoir[slot] = (index, trace)
-        self.offered += 1
-
-    def slowest(self) -> List[RequestTrace]:
-        """Slowest-first; latency ties break toward the smaller request id."""
-        ordered = sorted(self._heap, key=lambda e: (-e[0], -e[1]))
-        return [entry[2] for entry in ordered]
-
-    def sampled(self) -> List[RequestTrace]:
-        """Reservoir sample in arrival order, minus the slowest-K overlap."""
-        slow_ids = {trace.request_id for trace in self.slowest()}
-        return [
-            trace
-            for _, trace in sorted(self._reservoir, key=lambda e: e[0])
-            if trace.request_id not in slow_ids
-        ]
-
-
-# ---------------------------------------------------------------------------
 # Collector (null object + live implementation)
 # ---------------------------------------------------------------------------
 
@@ -378,43 +322,101 @@ class _BatchRecord:
     task_ids: List[int] = field(default_factory=list)
 
 
+# Request kinds in the per-request ``kind`` column.
+_KIND_BATCH = 0
+_KIND_CACHE = 1
+_KIND_SERVE = 2
+
+# One batch-table row per merged batch: its critical task's boundary
+# timestamps (float columns) and ids (int columns).  A batch request's
+# boundaries are its own arrival followed by these.
+_BATCH_BOUNDARIES: Tuple[str, ...] = (
+    "dispatch",
+    "route",
+    "ready",
+    "start",
+    "service_end",
+    "exec_end",
+    "result",
+    "completion",
+)
+_BATCH_IDS: Tuple[str, ...] = (
+    "batch_id",
+    "service_node",
+    "shard",
+    "task_id",
+    "data_node",
+    "level",
+    "fault_class",
+)
+_BATCH_STAGES: Tuple[str, ...] = STAGES[: len(_BATCH_BOUNDARIES)]
+_CLEAN_CODE = FAULT_CLASSES.index(FAULT_CLEAN)
+
+
+def _check_conservation(
+    request_id: int, latency: float, stages: Tuple[float, ...]
+) -> None:
+    """Raise unless ``stages`` sum to ``latency``; NaN and inf never pass."""
+    try:
+        total = math.fsum(stages)
+    except (OverflowError, ValueError):  # inf - inf, or an overflowing sum
+        total = math.nan
+    if not abs(total - latency) <= _CONSERVATION_RTOL * max(1.0, abs(latency)):
+        raise SimulationError(
+            f"causal stage sum {total!r} != end-to-end latency "
+            f"{latency!r} for req-{request_id} — attribution lost "
+            f"{latency - total!r}s"
+        )
+
+
 class CausalCollector(NullCausalCollector):
-    """Live per-request causal collector.
+    """Live per-request causal collector over compact columns.
 
     Observe-only: hooks copy already-computed sim timestamps into private
-    records (no simulator RNG draws, no timing arithmetic), finalize each
-    request at its merge/cache/serve completion into a stage breakdown,
-    verify stage-sum conservation, and feed the tail-exemplar store.
+    records (no simulator RNG draws, no timing arithmetic) and check
+    stage-sum conservation as each request completes.  A completed request
+    costs one entry in each of five ``array`` columns (request id, arrival,
+    completion, kind, row); a merged batch adds one batch-table row with
+    its critical task's boundaries, ids and fault class, and a serve
+    completion one serve-table row.  :meth:`report` rebuilds the stage
+    durations by vectorized indexing, and :class:`RequestTrace` objects
+    exist only for the exemplars, :meth:`trace` and :meth:`traces`.
+
+    Exemplars are deterministic: the ``slowest_k`` slowest requests exactly
+    (latency ties keep the smaller request id), plus a seeded Algorithm-R
+    sample of ``sample_size`` drawn over completion order from
+    ``default_rng((seed, salt))`` — byte-identical per seed.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        slowest_k: int = 8,
-        sample_size: int = 16,
-        seed: int = 0,
-        keep_traces: bool = False,
-    ):
-        self.exemplars = TailExemplarStore(
-            slowest_k=slowest_k, sample_size=sample_size, seed=seed
-        )
-        # Opt-in full retention (tests, small audits); the default keeps
-        # memory bounded by the exemplar store no matter how many requests
-        # the run completes.
-        self._traces: Optional[List[RequestTrace]] = [] if keep_traces else None
+    def __init__(self, slowest_k: int = 8, sample_size: int = 16, seed: int = 0):
+        self.slowest_k = max(int(slowest_k), 0)
+        self.sample_size = max(int(sample_size), 0)
         self.seed = int(seed)
         self._tasks: Dict[int, _TaskRecord] = {}
         self._batches: Dict[int, _BatchRecord] = {}
-        self._latencies: List[float] = []
-        self._classes: List[str] = []
-        self._stage_samples: Dict[str, List[float]] = {s: [] for s in STAGES}
-        self.completed = 0
+        # Per completed request, in completion order.
+        self._rid = array("q")
+        self._arrival = array("d")
+        self._completion = array("d")
+        self._kind = array("b")
+        self._row = array("q")  # batch- or serve-table row; -1 for a cache hit
+        # Per merged batch, flattened rows.
+        self._batch_times = array("d")
+        self._batch_ids = array("q")
+        # Per serve completion.
+        self._serve_dispatch = array("d")
+        self._serve_level = array("q")
         self.cache_hits = 0
         self.shed_by_reason: Dict[str, int] = {}
         self.ecc_tiers: Dict[str, int] = {}
         self.ecc_retries = 0
         self.ecc_extra_latency = 0.0
+
+    @property
+    def completed(self) -> int:
+        return len(self._rid)
 
     # -- cluster/serve hook implementations --------------------------------
 
@@ -493,18 +495,17 @@ class CausalCollector(NullCausalCollector):
         batch = self._batches.pop(batch_id, None)
         if batch is None:
             return
-        tasks = [self._tasks.pop(tid) for tid in batch.task_ids]
-        if not tasks:
-            return
         # The request's critical path runs through the shard whose result
         # arrived last (latency ties -> the smaller task id, so the choice
         # is deterministic and replayable).
-        critical = max(
-            range(len(tasks)),
-            key=lambda i: (tasks[i].result_at, -batch.task_ids[i]),
-        )
-        task = tasks[critical]
-        task_id = batch.task_ids[critical]
+        critical: Optional[Tuple[float, int]] = None
+        for tid in batch.task_ids:
+            record = self._tasks.pop(tid)
+            key = (record.result_at, -tid)
+            if critical is None or key > critical:
+                critical, task, task_id = key, record, tid
+        if critical is None:
+            return
         if task.parked:
             fault_class = FAULT_PARKED
         elif task.redispatched:
@@ -515,71 +516,46 @@ class CausalCollector(NullCausalCollector):
             fault_class = FAULT_SLOWED
         else:
             fault_class = FAULT_CLEAN
-        service_end = task.started_at + task.exec_time
-        shared = (
-            (STAGE_FAILOVER, batch.dispatch_time, task.route_time),
-            (STAGE_FANOUT, task.route_time, task.ready_at),
-            (STAGE_SLOT_WAIT, task.ready_at, task.started_at),
-            (STAGE_SERVICE, task.started_at, service_end),
-            (STAGE_FAULT_SLOWDOWN, service_end, task.end),
-            (STAGE_RESULT, task.end, task.result_at),
-            (STAGE_MERGE, task.result_at, completion),
+        times = (
+            batch.dispatch_time,
+            task.route_time,
+            task.ready_at,
+            task.started_at,
+            task.started_at + task.exec_time,
+            task.end,
+            task.result_at,
+            completion,
         )
+        # Failover through merge: the stages every request in the batch shares.
+        shared = tuple(end - start for start, end in zip(times, times[1:]))
+        row = len(self._batch_times) // len(_BATCH_BOUNDARIES)
+        self._batch_times.extend(times)
+        self._batch_ids.extend((
+            batch_id,
+            batch.service_node,
+            task.shard,
+            task_id,
+            task.node,
+            batch.level,
+            FAULT_CLASSES.index(fault_class),
+        ))
         for request_id, arrival in zip(batch.request_ids, batch.arrivals):
-            stages = {name: 0.0 for name in STAGES}
-            stages[STAGE_QUEUE_WAIT] = batch.dispatch_time - arrival
-            for name, start, end in shared:
-                stages[name] = end - start
-            boundaries = (
-                ("arrival", arrival),
-                ("dispatch", batch.dispatch_time),
-                ("route", task.route_time),
-                ("ready", task.ready_at),
-                ("start", task.started_at),
-                ("service_end", service_end),
-                ("exec_end", task.end),
-                ("result", task.result_at),
-                ("completion", completion),
+            _check_conservation(
+                request_id,
+                completion - arrival,
+                (batch.dispatch_time - arrival,) + shared,
             )
-            self._finish(
-                RequestTrace(
-                    trace_id=f"req-{request_id}",
-                    request_id=request_id,
-                    kind="batch",
-                    arrival=arrival,
-                    completion=completion,
-                    fault_class=fault_class,
-                    stages=tuple(
-                        (name, stages[name])
-                        for name in STAGES
-                        if name != STAGE_CACHE
-                    ),
-                    boundaries=boundaries,
-                    batch_id=batch_id,
-                    service_node=batch.service_node,
-                    shard=task.shard,
-                    task_id=task_id,
-                    data_node=task.node,
-                    level=batch.level,
-                )
-            )
+            self._complete(request_id, arrival, completion, _KIND_BATCH, row)
 
     def on_cache_hit(
         self, request_id: int, arrival: float, completion: float
     ) -> None:
+        latency = completion - arrival
+        # One stage equal to the latency: it conserves unless non-finite.
+        if not math.isfinite(latency):
+            _check_conservation(request_id, latency, (latency,))
         self.cache_hits += 1
-        self._finish(
-            RequestTrace(
-                trace_id=f"req-{request_id}",
-                request_id=request_id,
-                kind="cache",
-                arrival=arrival,
-                completion=completion,
-                fault_class=FAULT_CLEAN,
-                stages=((STAGE_CACHE, completion - arrival),),
-                boundaries=(("arrival", arrival), ("completion", completion)),
-            )
-        )
+        self._complete(request_id, arrival, completion, _KIND_CACHE, -1)
 
     def on_shed(self, reason: str) -> None:
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
@@ -592,9 +568,55 @@ class CausalCollector(NullCausalCollector):
         completion: float,
         level: int = 0,
     ) -> None:
-        self._finish(
-            RequestTrace(
-                trace_id=f"req-{request_id}",
+        _check_conservation(
+            request_id,
+            completion - arrival,
+            (dispatch_time - arrival, completion - dispatch_time),
+        )
+        row = len(self._serve_dispatch)
+        self._serve_dispatch.append(dispatch_time)
+        self._serve_level.append(level)
+        self._complete(request_id, arrival, completion, _KIND_SERVE, row)
+
+    def on_ecc(self, tier: str, extra_latency: float, retries: int) -> None:
+        self.ecc_tiers[tier] = self.ecc_tiers.get(tier, 0) + 1
+        self.ecc_retries += retries
+        self.ecc_extra_latency += extra_latency
+
+    # -- columns and finalization -------------------------------------------
+
+    def _complete(
+        self, request_id: int, arrival: float, completion: float, kind: int, row: int
+    ) -> None:
+        self._rid.append(request_id)
+        self._arrival.append(arrival)
+        self._completion.append(completion)
+        self._kind.append(kind)
+        self._row.append(row)
+
+    def _trace(self, index: int) -> RequestTrace:
+        """Rebuild the trace of the ``index``-th completed request."""
+        request_id = self._rid[index]
+        arrival = self._arrival[index]
+        completion = self._completion[index]
+        kind = self._kind[index]
+        row = self._row[index]
+        trace_id = f"req-{request_id}"
+        if kind == _KIND_CACHE:
+            return RequestTrace(
+                trace_id=trace_id,
+                request_id=request_id,
+                kind="cache",
+                arrival=arrival,
+                completion=completion,
+                fault_class=FAULT_CLEAN,
+                stages=((STAGE_CACHE, completion - arrival),),
+                boundaries=(("arrival", arrival), ("completion", completion)),
+            )
+        if kind == _KIND_SERVE:
+            dispatch_time = self._serve_dispatch[row]
+            return RequestTrace(
+                trace_id=trace_id,
                 request_id=request_id,
                 kind="serve",
                 arrival=arrival,
@@ -609,44 +631,104 @@ class CausalCollector(NullCausalCollector):
                     ("dispatch", dispatch_time),
                     ("completion", completion),
                 ),
-                level=level,
+                level=self._serve_level[row],
             )
+        width, id_width = len(_BATCH_BOUNDARIES), len(_BATCH_IDS)
+        times = [arrival] + self._batch_times[row * width : (row + 1) * width].tolist()
+        ids = dict(
+            zip(_BATCH_IDS, self._batch_ids[row * id_width : (row + 1) * id_width])
+        )
+        return RequestTrace(
+            trace_id=trace_id,
+            request_id=request_id,
+            kind="batch",
+            arrival=arrival,
+            completion=completion,
+            fault_class=FAULT_CLASSES[ids["fault_class"]],
+            stages=tuple(
+                (name, end - start)
+                for name, start, end in zip(_BATCH_STAGES, times, times[1:])
+            ),
+            boundaries=tuple(zip(("arrival",) + _BATCH_BOUNDARIES, times)),
+            batch_id=ids["batch_id"],
+            service_node=ids["service_node"],
+            shard=ids["shard"],
+            task_id=ids["task_id"],
+            data_node=ids["data_node"],
+            level=ids["level"],
         )
 
-    def on_ecc(self, tier: str, extra_latency: float, retries: int) -> None:
-        self.ecc_tiers[tier] = self.ecc_tiers.get(tier, 0) + 1
-        self.ecc_retries += retries
-        self.ecc_extra_latency += extra_latency
-
-    # -- finalization -------------------------------------------------------
-
-    def _finish(self, trace: RequestTrace) -> None:
-        latency = trace.latency
-        total = math.fsum(value for _, value in trace.stages)
-        if abs(total - latency) > _CONSERVATION_RTOL * max(1.0, abs(latency)):
-            raise SimulationError(
-                f"causal stage sum {total!r} != end-to-end latency "
-                f"{latency!r} for {trace.trace_id} — attribution lost "
-                f"{latency - total!r}s"
-            )
-        stage_map = trace.stage_map()
-        for name in STAGES:
-            self._stage_samples[name].append(stage_map.get(name, 0.0))
-        self._latencies.append(latency)
-        self._classes.append(trace.fault_class)
-        self.completed += 1
-        self.exemplars.offer(trace)
-        if self._traces is not None:
-            self._traces.append(trace)
+    def trace(self, request_id: int) -> Optional[RequestTrace]:
+        """The trace of completed request ``request_id``, or None."""
+        try:
+            return self._trace(self._rid.index(request_id))
+        except ValueError:
+            return None
 
     def traces(self) -> Tuple[RequestTrace, ...]:
-        """Every finished trace, in completion order (``keep_traces`` only)."""
-        if self._traces is None:
-            raise ObservabilityError(
-                "full traces were not retained; construct the collector "
-                "with keep_traces=True to audit every request"
-            )
-        return tuple(self._traces)
+        """Every completed request's trace, in completion order."""
+        return tuple(self._trace(index) for index in range(self.completed))
+
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-request latency, ``(len(STAGES), n)`` stage durations, and
+        fault-class index, in completion order.
+
+        Every stage value is the same IEEE subtraction of boundary
+        timestamps that :meth:`_trace` performs, so statistics over these
+        columns equal statistics over the rebuilt traces bit for bit.
+        """
+        arrival = np.array(self._arrival, dtype=np.float64)
+        completion = np.array(self._completion, dtype=np.float64)
+        kind = np.array(self._kind, dtype=np.int8)
+        row = np.array(self._row, dtype=np.int64)
+        latency = completion - arrival
+        stages = np.zeros((len(STAGES), latency.size))
+        classes = np.full(latency.size, _CLEAN_CODE, dtype=np.int64)
+        batch = np.flatnonzero(kind == _KIND_BATCH)
+        if batch.size:
+            rows = row[batch]
+            times = np.array(self._batch_times).reshape(-1, len(_BATCH_BOUNDARIES))
+            ids = np.array(self._batch_ids).reshape(-1, len(_BATCH_IDS))
+            # Queue wait, then the differences of consecutive boundaries.
+            stages[0, batch] = times[rows, 0] - arrival[batch]
+            stages[1 : len(_BATCH_STAGES), batch] = np.diff(times, axis=1)[rows].T
+            classes[batch] = ids[rows, _BATCH_IDS.index("fault_class")]
+        serve = np.flatnonzero(kind == _KIND_SERVE)
+        if serve.size:
+            dispatch_time = np.array(self._serve_dispatch)[row[serve]]
+            stages[STAGES.index(STAGE_QUEUE_WAIT), serve] = dispatch_time - arrival[serve]
+            stages[STAGES.index(STAGE_SERVICE), serve] = completion[serve] - dispatch_time
+        cache = np.flatnonzero(kind == _KIND_CACHE)
+        stages[STAGES.index(STAGE_CACHE), cache] = latency[cache]
+        return latency, stages, classes
+
+    def _exemplars(
+        self, latency: np.ndarray
+    ) -> Tuple[Tuple[RequestTrace, ...], Tuple[RequestTrace, ...]]:
+        """(slowest-K, reservoir sample minus the slowest) as traces.
+
+        Slowest-first with latency ties toward the smaller request id; the
+        sample replays Algorithm R's slot writes from one vectorized draw
+        (``integers(0, i + 1)`` for offer ``i``, exactly the values the
+        per-offer scalar draws give) and is returned in completion order.
+        """
+        request_ids = np.array(self._rid, dtype=np.int64)
+        order = np.lexsort((request_ids, -latency))[: self.slowest_k]
+        slowest = tuple(self._trace(int(index)) for index in order)
+        size, offered = self.sample_size, latency.size
+        kept = list(range(min(size, offered)))
+        if 0 < size < offered:
+            rng = np.random.default_rng((self.seed, _EXEMPLAR_SALT))
+            slots = rng.integers(0, np.arange(size + 1, offered + 1))
+            for offset in np.flatnonzero(slots < size).tolist():
+                kept[int(slots[offset])] = size + offset
+        slow_ids = {trace.request_id for trace in slowest}
+        sampled = tuple(
+            self._trace(index)
+            for index in sorted(kept)
+            if self._rid[index] not in slow_ids
+        )
+        return slowest, sampled
 
     def report(self) -> "AttributionReport":
         return AttributionReport.from_collector(self)
@@ -689,8 +771,9 @@ class installed:
 
 
 def _quantile_block(values: np.ndarray) -> Dict[str, float]:
+    quantiles = np.percentile(values, [q for _, q in _QUANTILES])
     block = {
-        label: float(np.percentile(values, q)) for label, q in _QUANTILES
+        label: float(value) for (label, _), value in zip(_QUANTILES, quantiles)
     }
     block["mean_s"] = float(values.mean())
     block["max_s"] = float(values.max())
@@ -741,16 +824,10 @@ class AttributionReport:
                 slowest=(),
                 sampled=(),
             )
-        latencies = np.asarray(collector._latencies, dtype=np.float64)
-        samples = {
-            name: np.asarray(values, dtype=np.float64)
-            for name, values in collector._stage_samples.items()
-        }
-        classes = np.asarray(collector._classes)
+        latencies, samples, classes = collector._columns()
         total_time = float(latencies.sum())
         stages: Dict[str, Dict[str, float]] = {}
-        for name in STAGES:
-            values = samples[name]
+        for name, values in zip(STAGES, samples):
             block = _quantile_block(values)
             block["total_s"] = float(values.sum())
             block["share"] = (
@@ -761,8 +838,8 @@ class AttributionReport:
         mask = latencies >= threshold
         tail_total = float(latencies[mask].sum())
         tail_stages: Dict[str, Dict[str, float]] = {}
-        for name in STAGES:
-            stage_tail = float(samples[name][mask].sum())
+        for name, values in zip(STAGES, samples):
+            stage_tail = float(values[mask].sum())
             tail_stages[name] = {
                 "total_s": stage_tail,
                 "share": stage_tail / tail_total if tail_total > 0.0 else 0.0,
@@ -773,8 +850,8 @@ class AttributionReport:
             "stages": tail_stages,
         }
         fault_classes: Dict[str, Dict[str, float]] = {}
-        for fault_class in FAULT_CLASSES:
-            class_mask = classes == fault_class
+        for code, fault_class in enumerate(FAULT_CLASSES):
+            class_mask = classes == code
             count = int(class_mask.sum())
             if not count:
                 continue
@@ -783,6 +860,7 @@ class AttributionReport:
             block["share"] = count / len(latencies)
             block["tail_count"] = float(int((class_mask & mask).sum()))
             fault_classes[fault_class] = block
+        slowest, sampled = collector._exemplars(latencies)
         return cls(
             completed=collector.completed,
             cache_hits=collector.cache_hits,
@@ -793,8 +871,8 @@ class AttributionReport:
             tail=tail,
             fault_classes=fault_classes,
             ecc=ecc,
-            slowest=tuple(collector.exemplars.slowest()),
-            sampled=tuple(collector.exemplars.sampled()),
+            slowest=slowest,
+            sampled=sampled,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -937,7 +1015,6 @@ __all__ = [
     "STAGE_CACHE",
     "FAULT_CLASSES",
     "RequestTrace",
-    "TailExemplarStore",
     "NullCausalCollector",
     "CausalCollector",
     "AttributionReport",

@@ -25,6 +25,7 @@ load at which the configured cluster saturates (the bench's 1x point).
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -99,6 +100,10 @@ class ServingSimulator:
         # loop's counter snapshot, so two same-seed runs can be checked for
         # state divergence after the fact (repro.obs.digest).
         self.digest_recorder = digest_recorder
+        # run() mutates the router, admission ledger, batcher and ladder, so
+        # every run after the first starts from copies of them as built.
+        self._built = copy.deepcopy((router, admission, batcher, ladder))
+        self._runs = 0
 
     # -- helpers -------------------------------------------------------------
     def _pressure(self, core: ServiceNodeCore) -> float:
@@ -132,6 +137,11 @@ class ServingSimulator:
         if priorities is not None and len(priorities) != times.size:
             raise WorkloadError("priorities must align with arrivals")
 
+        if self._runs:
+            self.router, self.admission, self.batcher, self.ladder = (
+                copy.deepcopy(self._built)
+            )
+        self._runs += 1
         core = ServiceNodeCore(self.admission, self.batcher, self.ladder)
         inflight: Dict[int, _InflightBatch] = {}
         completed: List[CompletedRequest] = []

@@ -22,6 +22,7 @@ from repro.cluster import (
     build_cluster,
     cluster_saturating_rate,
 )
+from repro.errors import SimulationError
 from repro.faults import ClusterFaultConfig
 from repro.sim import SimSanitizer
 from repro.sim import installed as simsan_installed
@@ -32,8 +33,6 @@ from repro.obs.causal import (
     AttributionReport,
     CausalCollector,
     NullCausalCollector,
-    RequestTrace,
-    TailExemplarStore,
     get_collector,
     installed,
     set_collector,
@@ -124,7 +123,7 @@ class TestCollectorGuard:
 
 class TestConservation:
     def test_stage_sums_equal_latency_under_faults(self):
-        collector = CausalCollector(seed=7, keep_traces=True)
+        collector = CausalCollector(seed=7)
         report = run_fleet(
             multiplier=1.1, fault_config=faulted_config(), collector=collector
         )
@@ -137,7 +136,7 @@ class TestConservation:
             assert total == pytest.approx(trace.latency, rel=1e-9, abs=1e-12)
 
     def test_stage_names_are_from_taxonomy(self):
-        collector = CausalCollector(seed=7, keep_traces=True)
+        collector = CausalCollector(seed=7)
         run_fleet(fault_config=faulted_config(), collector=collector)
         for trace in collector.traces():
             for name, seconds in trace.stages:
@@ -164,6 +163,70 @@ class TestConservation:
             block["share"] for block in attribution.stages.values()
         )
         assert total_share == pytest.approx(1.0, rel=1e-9)
+
+
+class TestConservationGuard:
+    """A request whose stages cannot sum to its latency is refused by the
+    hook that completes it, NaN and inf boundaries included."""
+
+    @pytest.mark.parametrize(
+        "arrival, completion",
+        [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)],
+    )
+    def test_cache_hit_rejects_non_finite_boundary(self, arrival, completion):
+        collector = CausalCollector()
+        with pytest.raises(SimulationError, match="req-1 "):
+            collector.on_cache_hit(1, arrival, completion)
+        assert collector.completed == 0
+
+    @pytest.mark.parametrize("dispatch", [math.nan, math.inf, -math.inf])
+    def test_serve_completion_rejects_non_finite_boundary(self, dispatch):
+        collector = CausalCollector()
+        with pytest.raises(SimulationError, match="req-2 "):
+            collector.on_serve_complete(2, 0.0, dispatch, 1.0)
+        assert collector.completed == 0
+
+    @staticmethod
+    def _batch(collector, route_time=0.1, exec_time=1e-3):
+        """One two-request batch through a single shard task, up to merge."""
+        collector.on_dispatch(0, 0, 0.1, 0, (3, 4), (0.0, 0.05))
+        collector.on_task_route(10, 0, 0, exec_time, route_time, 0.2, 1)
+        collector.on_task_start(10, 0.2, 0.201, exec_time)
+        collector.on_task_finish(10, 0.201, 0.25)
+
+    def test_merge_accepts_a_telescoping_batch(self):
+        collector = CausalCollector()
+        self._batch(collector)
+        collector.on_merge(0, 0.3)
+        assert collector.completed == 2
+        for trace in collector.traces():
+            total = math.fsum(seconds for _, seconds in trace.stages)
+            assert total == pytest.approx(trace.latency, rel=1e-12)
+
+    @pytest.mark.parametrize("route_time", [math.nan, math.inf])
+    def test_merge_rejects_non_finite_boundary(self, route_time):
+        collector = CausalCollector()
+        self._batch(collector, route_time=route_time)
+        with pytest.raises(SimulationError, match="req-3 "):
+            collector.on_merge(0, 0.3)
+        assert collector.completed == 0
+
+    def test_merge_rejects_stages_that_do_not_telescope(self):
+        # service_end = start + exec_time rounds away the start at 1e17, so
+        # service + fault_slowdown no longer spans start -> exec_end.
+        collector = CausalCollector()
+        self._batch(collector, exec_time=1e17)
+        with pytest.raises(SimulationError, match="attribution lost"):
+            collector.on_merge(0, 0.3)
+        assert collector.completed == 0
+
+    def test_nan_cannot_poison_the_report(self):
+        collector = CausalCollector()
+        collector.on_cache_hit(0, 0.0, 1e-3)
+        with pytest.raises(SimulationError):
+            collector.on_cache_hit(1, math.nan, 1.0)
+        latency = collector.report().latency
+        assert all(math.isfinite(value) for value in latency.values())
 
 
 class TestBitIdentity:
@@ -218,55 +281,57 @@ class TestBitIdentity:
 
 
 class TestExemplars:
-    def _trace(self, request_id, arrival, latency):
-        return RequestTrace(
-            trace_id=f"t{request_id}",
-            request_id=request_id,
-            kind="serve",
-            arrival=arrival,
-            completion=arrival + latency,
-            fault_class="clean",
-            stages=(("queue_wait", latency / 2), ("service", latency / 2)),
-            boundaries=(
-                ("arrival", arrival),
-                ("dispatch", arrival + latency / 2),
-                ("completion", arrival + latency),
-            ),
+    def _collect(self, offers, slowest_k, sample_size, seed=0):
+        """Collector fed one serve completion per (request, arrival, latency)."""
+        collector = CausalCollector(
+            slowest_k=slowest_k, sample_size=sample_size, seed=seed
         )
+        for rid, arrival, latency in offers:
+            collector.on_serve_complete(
+                rid, arrival, arrival + latency / 2, arrival + latency
+            )
+        return collector.report()
 
     def test_slowest_k_ordering(self):
-        store = TailExemplarStore(slowest_k=3, sample_size=0, seed=0)
-        for rid in range(10):
-            store.offer(self._trace(rid, rid * 0.1, 1e-3 * (rid % 5 + 1)))
-        slowest = store.slowest()
+        report = self._collect(
+            [(rid, rid * 0.1, 1e-3 * (rid % 5 + 1)) for rid in range(10)],
+            slowest_k=3,
+            sample_size=0,
+        )
+        slowest = report.slowest
         assert len(slowest) == 3
         latencies = [t.latency for t in slowest]
         assert latencies == sorted(latencies, reverse=True)
         assert latencies[0] == pytest.approx(5e-3)
 
     def test_slowest_ties_break_deterministically(self):
-        store = TailExemplarStore(slowest_k=2, sample_size=0, seed=0)
-        for rid in (5, 1, 9):
-            store.offer(self._trace(rid, 0.0, 2e-3))
-        ids = [t.request_id for t in store.slowest()]
+        report = self._collect(
+            [(rid, 0.0, 2e-3) for rid in (5, 1, 9)], slowest_k=2, sample_size=0
+        )
+        ids = [t.request_id for t in report.slowest]
         assert ids == [1, 5]  # equal latency: smaller request id wins
 
     def test_reservoir_is_seed_deterministic(self):
         def fill(seed):
-            store = TailExemplarStore(slowest_k=2, sample_size=4, seed=seed)
-            for rid in range(100):
-                store.offer(self._trace(rid, rid * 0.01, 1e-3))
-            return [t.request_id for t in store.sampled()]
+            report = self._collect(
+                [(rid, rid * 0.01, 1e-3) for rid in range(100)],
+                slowest_k=2,
+                sample_size=4,
+                seed=seed,
+            )
+            return [t.request_id for t in report.sampled]
 
         assert fill(3) == fill(3)
         assert fill(3) != fill(4)
 
     def test_sampled_excludes_slowest(self):
-        store = TailExemplarStore(slowest_k=4, sample_size=16, seed=0)
-        for rid in range(20):
-            store.offer(self._trace(rid, rid * 0.01, 1e-3 * (rid + 1)))
-        slow_ids = {t.request_id for t in store.slowest()}
-        assert not slow_ids & {t.request_id for t in store.sampled()}
+        report = self._collect(
+            [(rid, rid * 0.01, 1e-3 * (rid + 1)) for rid in range(20)],
+            slowest_k=4,
+            sample_size=16,
+        )
+        slow_ids = {t.request_id for t in report.slowest}
+        assert not slow_ids & {t.request_id for t in report.sampled}
 
     def test_report_is_byte_identical_per_seed(self):
         def attribution_json():
@@ -309,7 +374,7 @@ class TestServeDecomposition:
         rate = 0.8 * saturating_rate(SERVICE, config)
         arrivals = poisson_arrivals(rate, 2000, seed=5)
         driver = build_serving_stack(SERVICE, config)
-        collector = CausalCollector(seed=5, keep_traces=True)
+        collector = CausalCollector(seed=5)
         with installed(collector):
             report = driver.run(arrivals)
         traces = list(collector.traces())
@@ -407,3 +472,50 @@ class TestTraceAttributeCli:
         assert set(stages) <= set(STAGES)
         chrome = json.loads(exemplar.read_text())
         assert chrome["traceEvents"]
+
+    def test_exemplar_exports_any_completed_request(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "attribution.json"
+        exemplar = tmp_path / "exemplar.json"
+        code = main([
+            "trace", "attribute",
+            "--requests", "800",
+            "--seed", "3",
+            "--slowest", "1",
+            "--sample", "0",
+            "--out", str(out),
+            "--exemplar-out", str(exemplar),
+            "--exemplar", "0",
+        ])
+        assert code == 0
+        exemplars = json.loads(out.read_text())["attribution"]["exemplars"]
+        assert [t["request_id"] for t in exemplars["slowest"]] != [0]
+        assert not exemplars["sampled"]
+        chrome = json.loads(exemplar.read_text())
+        assert chrome["otherData"]["trace_id"] == "req-0"
+        assert "wrote req-0 causal graph" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "requests, rate, request_id, reason",
+        [
+            ("800", None, "800", "never arrived"),
+            ("3000", "200000", "2998", "was shed"),
+        ],
+    )
+    def test_exemplar_that_did_not_complete_exits_1(
+        self, tmp_path, capsys, requests, rate, request_id, reason
+    ):
+        from repro.cli import main
+
+        exemplar = tmp_path / "exemplar.json"
+        argv = ["trace", "attribute", "--requests", requests, "--seed", "3"]
+        if rate is not None:
+            argv += ["--rate", rate]
+        argv += ["--exemplar-out", str(exemplar), "--exemplar", request_id]
+        assert main(argv) == 1
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == (
+            f"request {request_id} {reason}; no causal graph to export"
+        )
+        assert not exemplar.exists()

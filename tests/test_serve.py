@@ -1,5 +1,7 @@
 """Tests for the deterministic SLO-aware serving layer (repro.serve)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,29 @@ class TestServingProperties:
             b.size for b in second.batches
         ]
         assert first.p99 == second.p99
+
+    def test_reused_simulator_replays_identically(self):
+        # The token bucket, admission ledger and ladder all carry state out
+        # of a run; a second run on the same instance must not see it.
+        config = ServingConfig(
+            slo=0.02, shards=2, replicas=2, token_rate=3000.0
+        )
+        simulator = build_serving_stack(SERVICE, config)
+        arrivals = poisson_arrivals(
+            3.0 * saturating_rate(SERVICE, config), 1500, seed=11
+        )
+        first = simulator.run(arrivals).to_dict()
+        second = simulator.run(arrivals).to_dict()
+        fresh = build_serving_stack(SERVICE, config).run(arrivals).to_dict()
+        assert first["max_degrade_level"] >= 1
+        assert first["shed_by_reason"]["token_bucket"] > 0
+        assert json.dumps(second, sort_keys=True) == json.dumps(
+            first, sort_keys=True
+        )
+        assert json.dumps(first, sort_keys=True) == json.dumps(
+            fresh, sort_keys=True
+        )
+        assert simulator.admission.arrived == len(arrivals)
 
     def test_shed_rate_monotone_in_offered_load(self):
         rates = (0.5, 1.0, 2.0, 4.0, 8.0)
