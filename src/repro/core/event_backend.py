@@ -29,6 +29,10 @@ from ..ssd.device import SSDDevice
 from .accelerator import AcceleratorModel
 from .pipeline import PipelineFeatures
 
+# Offset of the homogeneous-mode INT4 pages within each channel's logical
+# range; FP32 tile pages must stay below it.
+INT4_REGION_PAGE = 500_000
+
 
 @dataclass
 class EventTileTiming:
@@ -92,16 +96,25 @@ class EventBackedTiming:
         ``tile_base_page`` spaces tiles apart in each channel's logical range.
         """
         ftl = self.device.ftl
+        write, is_mapped = ftl.write, ftl.is_mapped
         lpas_by_channel: Dict[int, List[int]] = {}
         for channel in range(placement.num_channels):
             base = ftl.channel_logical_range(channel).start + tile_base_page
-            count = placement.channel_pages(channel)
-            lpas = [base + i for i in range(count)]
+            lpas = list(range(base, base + placement.channel_pages(channel)))
             for lpa in lpas:
-                if not ftl.is_mapped(lpa):
-                    ftl.write(lpa)
+                if not is_mapped(lpa):
+                    write(lpa)
             lpas_by_channel[channel] = lpas
         return lpas_by_channel
+
+    def _int4_pages_per_channel(self, int4_bytes: int) -> int:
+        int4_pages = -(-int4_bytes // self.config.flash.page_size)
+        return -(-int4_pages // self.config.flash.channels)
+
+    @staticmethod
+    def _fp32_pages_per_channel(placement: WeightPlacement) -> int:
+        """Logical pages the tile's busiest channel needs (deploy_tile's span)."""
+        return max(placement.channel_pages(c) for c in range(placement.num_channels))
 
     # --- tile timing --------------------------------------------------------------
     def time_tile(
@@ -117,6 +130,13 @@ class EventBackedTiming:
         """Event-simulate one tile's candidate fetch + compute phases."""
         if batch <= 0:
             raise ConfigurationError("batch must be positive")
+        if not self.features.heterogeneous:
+            fp32_pages = self._fp32_pages_per_channel(placement)
+            if tile_base_page + fp32_pages > INT4_REGION_PAGE:
+                raise ConfigurationError(
+                    f"tile at page {tile_base_page} with {fp32_pages} FP32 pages"
+                    f" per channel reaches the INT4 region at {INT4_REGION_PAGE}"
+                )
         lpas_by_channel = self.deploy_tile(placement, tile_base_page)
         page_lists = placement.fetch_page_lists(candidates)
         commands = []
@@ -131,12 +151,11 @@ class EventBackedTiming:
             int4_fetch = int4_bytes / self.config.dram_bandwidth
         else:
             # INT4 pages interleave into the same channel queues.
-            int4_pages = -(-int4_bytes // self.config.flash.page_size)
-            per_channel = -(-int4_pages // self.config.flash.channels)
+            per_channel = self._int4_pages_per_channel(int4_bytes)
             for channel in range(self.config.flash.channels):
                 base = self.device.ftl.channel_logical_range(channel).start
                 for i in range(per_channel):
-                    lpa = base + 500_000 + tile_base_page + i
+                    lpa = base + INT4_REGION_PAGE + tile_base_page + i
                     if not self.device.ftl.is_mapped(lpa):
                         self.device.ftl.write(lpa)
                     commands.append(
@@ -200,11 +219,26 @@ class EventBackedTiming:
         int4_bytes: int,
         tile_spacing: int = 4096,
     ) -> EventRunResult:
-        """Time a sequence of tiles (one placement + candidate set each)."""
+        """Time a sequence of tiles (one placement + candidate set each).
+
+        Tile *i* owns logical pages ``[i * tile_spacing, (i + 1) *
+        tile_spacing)`` of each channel; a tile that needs more pages per
+        channel raises :class:`ConfigurationError` instead of sharing pages.
+        """
         if len(placements) != len(candidate_sets):
             raise ConfigurationError("one candidate set per placement required")
         if not placements:
             raise ConfigurationError("run() needs at least one tile")
+        int4_pages = (
+            0 if self.features.heterogeneous else self._int4_pages_per_channel(int4_bytes)
+        )
+        for index, placement in enumerate(placements):
+            pages = max(int4_pages, self._fp32_pages_per_channel(placement))
+            if pages > tile_spacing:
+                raise ConfigurationError(
+                    f"tile {index} needs {pages} pages per channel but"
+                    f" tile_spacing is {tile_spacing}; tiles would overlap"
+                )
         timings = []
         for index, (placement, candidates) in enumerate(
             zip(placements, candidate_sets)

@@ -16,8 +16,12 @@ Internals:
 * **Garbage collection** — greedy cost-benefit: when a plane's free-block
   reserve drops below ``gc_threshold``, the full block with the fewest valid
   pages is the victim; its valid pages are relocated and the block erased.
-* **Wear leveling** — free blocks are taken from a min-heap keyed by erase
-  count, so erases spread across blocks.
+* **Wear leveling** — a plane hands out its never-written blocks first, in
+  index order, then erased blocks from a min-heap keyed by erase count, so
+  erases spread across blocks.  Never-written blocks are a counter, not heap
+  entries: they all have wear 0 and every erased block wear >= 1, so the
+  order is the one a single heap over all free blocks would pop, without
+  building a ``blocks_per_plane`` list for every plane a write touches.
 
 State is created lazily per plane/block: a Table 2 device has half a million
 blocks, and experiments only ever touch a sliver of them, so memory tracks
@@ -78,14 +82,21 @@ class GcEvent:
 
 
 class _PlaneState:
-    """Lazily-created allocation state for one plane."""
+    """Lazily-created allocation state for one plane.
 
-    __slots__ = ("blocks", "free_heap", "active", "in_gc")
+    Free blocks are the never-used ones from ``next_fresh`` up, plus the
+    ``erased`` ``(wear, block)`` min-heap (see the module docstring for why
+    this pops in the order one heap over all free blocks would).
+    """
 
-    def __init__(self, blocks_per_plane: int) -> None:
+    __slots__ = ("key", "base", "blocks", "next_fresh", "erased", "active", "in_gc")
+
+    def __init__(self, key: PlaneKey, base: int) -> None:
+        self.key = key
+        self.base = base  # flat index of the plane's first page
         self.blocks: Dict[int, BlockState] = {}
-        self.free_heap: List[Tuple[int, int]] = [(0, b) for b in range(blocks_per_plane)]
-        # Heap starts sorted (all-zero wear), no heapify needed.
+        self.next_fresh = 0
+        self.erased: List[Tuple[int, int]] = []
         self.active: Optional[BlockState] = None
         # Re-entrancy guard: GC's own relocation writes must not trigger a
         # nested collection of the same plane (the over-provisioned reserve
@@ -117,6 +128,27 @@ class FlashTranslationLayer:
         self.gc_threshold = gc_threshold
         self.op_ratio = op_ratio
 
+        # Geometry constants the per-page write path would otherwise derive
+        # through chains of FlashConfig properties on every call.
+        self._user_pages_per_channel = int(config.pages_per_channel * (1.0 - op_ratio))
+        self._user_pages = self._user_pages_per_channel * config.channels
+        self._planes_per_channel = (
+            config.packages_per_channel * config.dies_per_package * config.planes_per_die
+        )
+        self._blocks_per_plane = config.blocks_per_plane
+        self._pages_per_block = config.pages_per_block
+        self._pages_per_plane = config.pages_per_plane
+        # Global plane index (channel * planes_per_channel + index within the
+        # channel) -> plane key.  Channel-major, like flat page indices, so a
+        # plane's first flat page is its global index * pages_per_plane.
+        self._plane_keys: List[PlaneKey] = [
+            (channel, package, die, plane)
+            for channel in range(config.channels)
+            for package in range(config.packages_per_channel)
+            for die in range(config.dies_per_package)
+            for plane in range(config.planes_per_die)
+        ]
+
         self._l2p: Dict[int, int] = {}
         self._p2l: Dict[int, int] = {}
         self._planes: Dict[PlaneKey, _PlaneState] = {}
@@ -133,26 +165,26 @@ class FlashTranslationLayer:
         """
         if not (0 <= channel < self.config.channels):
             raise AddressError(f"channel {channel} outside device")
-        per_channel = self.user_pages_per_channel
+        per_channel = self._user_pages_per_channel
         start = channel * per_channel
         return range(start, start + per_channel)
 
     @property
     def user_pages_per_channel(self) -> int:
-        return int(self.config.pages_per_channel * (1.0 - self.op_ratio))
+        return self._user_pages_per_channel
 
     @property
     def user_pages(self) -> int:
-        return self.user_pages_per_channel * self.config.channels
+        return self._user_pages
 
     def channel_of_logical(self, logical_page: int) -> int:
         """Which channel a logical page is statically routed to."""
-        if not (0 <= logical_page < self.user_pages):
+        if not (0 <= logical_page < self._user_pages):
             raise AddressError(
                 f"logical page {logical_page} outside user space"
-                f" [0, {self.user_pages})"
+                f" [0, {self._user_pages})"
             )
-        return logical_page // self.user_pages_per_channel
+        return logical_page // self._user_pages_per_channel
 
     # --- mapping ---------------------------------------------------------------
     def write(self, logical_page: int) -> PhysicalAddress:
@@ -166,8 +198,7 @@ class FlashTranslationLayer:
         old = self._l2p.pop(logical_page, None)
         if old is not None:
             self._invalidate(old)
-        address = self._allocate(channel, logical_page)
-        flat = self.geometry.to_flat(address)
+        address, flat = self._allocate(channel, logical_page)
         self._l2p[logical_page] = flat
         self._p2l[flat] = logical_page
         self.pages_written += 1
@@ -199,121 +230,112 @@ class FlashTranslationLayer:
         return len(self._l2p)
 
     # --- allocation --------------------------------------------------------------
-    def _allocate(self, channel: int, logical_page: int) -> PhysicalAddress:
-        plane_key = self._pick_plane(channel, logical_page)
-        block = self._active_block(plane_key)
-        page = block.write_pointer
-        block.write_pointer += 1
-        block.valid[page] = 1
-        if block.is_full:
-            self._plane(plane_key).active = None
-        return PhysicalAddress(
-            channel=plane_key[0],
-            package=plane_key[1],
-            die=plane_key[2],
-            plane=plane_key[3],
-            block=block.block,
-            page=page,
-        )
+    def _allocate(self, channel: int, logical_page: int) -> Tuple[PhysicalAddress, int]:
+        """Program the next page of the plane ``logical_page`` round-robins to.
 
-    def _pick_plane(self, channel: int, logical_page: int) -> PlaneKey:
-        """Round-robin planes within the channel by logical page number."""
-        cfg = self.config
-        planes_per_channel = (
-            cfg.packages_per_channel * cfg.dies_per_package * cfg.planes_per_die
-        )
-        idx = logical_page % planes_per_channel
-        package, rest = divmod(idx, cfg.dies_per_package * cfg.planes_per_die)
-        die, plane = divmod(rest, cfg.planes_per_die)
-        return (channel, package, die, plane)
+        Planes within the channel are picked by logical page number, spreading
+        programs across dies.  Host writes and GC relocations both allocate
+        here.  Returns the validated physical address and its flat index.
+        """
+        per_channel = self._planes_per_channel
+        key = self._plane_keys[channel * per_channel + logical_page % per_channel]
+        state = self._planes.get(key)
+        if state is None:
+            state = self._plane(key)
+        block = state.active
+        if block is None or block.write_pointer >= self._pages_per_block:
+            block = self._open_block(state)
+        page = block.write_pointer
+        block.write_pointer = page + 1
+        block.valid[page] = 1
+        if page + 1 >= self._pages_per_block:
+            state.active = None
+        address = PhysicalAddress(key[0], key[1], key[2], key[3], block.block, page)
+        self.geometry.check(address)
+        return address, state.base + block.block * self._pages_per_block + page
 
     def _plane(self, plane_key: PlaneKey) -> _PlaneState:
         state = self._planes.get(plane_key)
         if state is None:
-            state = _PlaneState(self.config.blocks_per_plane)
+            cfg = self.config
+            channel, package, die, plane = plane_key
+            index = (
+                (channel * cfg.packages_per_channel + package) * cfg.dies_per_package
+                + die
+            ) * cfg.planes_per_die + plane
+            state = _PlaneState(plane_key, index * self._pages_per_plane)
             self._planes[plane_key] = state
         return state
 
-    def _active_block(self, plane_key: PlaneKey) -> BlockState:
-        state = self._plane(plane_key)
-        if state.active is not None and not state.active.is_full:
-            return state.active
-        if len(state.free_heap) <= self.gc_threshold and not state.in_gc:
-            self._garbage_collect(plane_key)
+    def _free_blocks(self, state: _PlaneState) -> int:
+        return self._blocks_per_plane - state.next_fresh + len(state.erased)
+
+    def _open_block(self, state: _PlaneState) -> BlockState:
+        """The plane's append point once its active block is gone or full."""
+        if self._free_blocks(state) <= self.gc_threshold and not state.in_gc:
+            self._garbage_collect(state)
             # GC's relocations may have opened an active block with room
             # left; reuse it rather than stranding its free pages.
             if state.active is not None and not state.active.is_full:
                 return state.active
-        state.active = self._pop_free_block(plane_key)
+        state.active = self._pop_free_block(state)
         return state.active
 
-    def _pop_free_block(self, plane_key: PlaneKey) -> BlockState:
-        state = self._plane(plane_key)
-        if not state.free_heap:
-            touched = len(state.blocks)
-            valid = sum(block.valid_pages for block in state.blocks.values())
-            wear = [block.erase_count for block in state.blocks.values()]
-            wear_lo = min(wear) if wear else 0
-            wear_hi = max(wear) if wear else 0
-            raise CapacityError(
-                f"plane {plane_key} has no free blocks (GC failed): "
-                f"{touched}/{self.config.blocks_per_plane} blocks touched, "
-                f"{valid} valid pages pinned, erase counts "
-                f"[{wear_lo}, {wear_hi}], gc_threshold={self.gc_threshold}, "
-                f"op_ratio={self.op_ratio}"
-            )
-        _wear, block_index = heapq.heappop(state.free_heap)
-        block = state.blocks.get(block_index)
-        if block is None:
-            block = BlockState(block_index, self.config.pages_per_block)
-            state.blocks[block_index] = block
-        return block
+    def _pop_free_block(self, state: _PlaneState) -> BlockState:
+        if state.next_fresh < self._blocks_per_plane:
+            block = BlockState(state.next_fresh, self._pages_per_block)
+            state.blocks[state.next_fresh] = block
+            state.next_fresh += 1
+            return block
+        if state.erased:
+            _wear, block_index = heapq.heappop(state.erased)
+            return state.blocks[block_index]
+        touched = len(state.blocks)
+        valid = sum(block.valid_pages for block in state.blocks.values())
+        wear = [block.erase_count for block in state.blocks.values()]
+        wear_lo = min(wear) if wear else 0
+        wear_hi = max(wear) if wear else 0
+        raise CapacityError(
+            f"plane {state.key} has no free blocks (GC failed): "
+            f"{touched}/{self.config.blocks_per_plane} blocks touched, "
+            f"{valid} valid pages pinned, erase counts "
+            f"[{wear_lo}, {wear_hi}], gc_threshold={self.gc_threshold}, "
+            f"op_ratio={self.op_ratio}"
+        )
 
     # --- garbage collection ---------------------------------------------------------
-    def _garbage_collect(self, plane_key: PlaneKey) -> None:
+    def _garbage_collect(self, state: _PlaneState) -> None:
         """Reclaim blocks until the plane's free reserve is replenished.
 
         One pass may reclaim a block whose pages the next allocation
         immediately consumes, so collection loops while reclaimable victims
         exist and the reserve is still at or below the threshold.
         """
-        state = self._plane(plane_key)
         state.in_gc = True
         try:
-            while len(state.free_heap) <= self.gc_threshold:
-                victim = self._pick_victim(plane_key)
+            while self._free_blocks(state) <= self.gc_threshold:
+                victim = self._pick_victim(state)
                 if victim is None:
                     return  # nothing reclaimable; allocation may still succeed
-                self._collect_victim(plane_key, state, victim)
+                self._collect_victim(state, victim)
         finally:
             state.in_gc = False
 
-    def _collect_victim(
-        self, plane_key: PlaneKey, state: _PlaneState, victim: BlockState
-    ) -> None:
+    def _collect_victim(self, state: _PlaneState, victim: BlockState) -> None:
+        plane_key = state.key
+        victim_base = state.base + victim.block * self._pages_per_block
         relocated = 0
         for page_index in range(victim.pages_per_block):
             if not victim.valid[page_index]:
                 continue
-            flat = self.geometry.to_flat(
-                PhysicalAddress(
-                    plane_key[0],
-                    plane_key[1],
-                    plane_key[2],
-                    plane_key[3],
-                    victim.block,
-                    page_index,
-                )
-            )
-            logical_page = self._p2l.pop(flat)
+            logical_page = self._p2l.pop(victim_base + page_index)
             victim.valid[page_index] = 0
-            new_address = self._allocate(plane_key[0], logical_page)
-            new_flat = self.geometry.to_flat(new_address)
+            _address, new_flat = self._allocate(plane_key[0], logical_page)
             self._l2p[logical_page] = new_flat
             self._p2l[new_flat] = logical_page
             relocated += 1
         victim.erase()
-        heapq.heappush(state.free_heap, (victim.erase_count, victim.block))
+        heapq.heappush(state.erased, (victim.erase_count, victim.block))
         self.pages_relocated += relocated
         self.gc_events.append(
             GcEvent(plane=plane_key, victim_block=victim.block, relocated_pages=relocated)
@@ -344,8 +366,7 @@ class FlashTranslationLayer:
             plane_key, victim.block, relocated,
         )
 
-    def _pick_victim(self, plane_key: PlaneKey) -> Optional[BlockState]:
-        state = self._plane(plane_key)
+    def _pick_victim(self, state: _PlaneState) -> Optional[BlockState]:
         candidates = [
             block
             for block in state.blocks.values()
@@ -420,7 +441,7 @@ class FlashTranslationLayer:
         relocated = block.valid_pages
         state.in_gc = True
         try:
-            self._collect_victim(plane_key, state, block)
+            self._collect_victim(state, block)
         finally:
             state.in_gc = False
         return relocated
@@ -442,8 +463,8 @@ class FlashTranslationLayer:
         return min(counts), max(counts), sum(counts) / len(counts)
 
     def _invalidate(self, flat: int) -> None:
-        address = self.geometry.to_physical(flat)
-        plane_key = (address.channel, address.package, address.die, address.plane)
-        block = self._plane(plane_key).blocks[address.block]
-        block.valid[address.page] = 0
+        plane_index, offset = divmod(flat, self._pages_per_plane)
+        block_index, page = divmod(offset, self._pages_per_block)
+        block = self._planes[self._plane_keys[plane_index]].blocks[block_index]
+        block.valid[page] = 0
         self._p2l.pop(flat, None)

@@ -14,6 +14,9 @@ from typing import Iterator
 from ..config import FlashConfig
 from ..errors import AddressError
 
+# PhysicalAddress fields, outermost level first.
+_FIELDS = ("channel", "package", "die", "plane", "block", "page")
+
 
 @dataclass(frozen=True, order=True)
 class LogicalAddress:
@@ -38,7 +41,12 @@ class PhysicalAddress:
     page: int
 
     def __post_init__(self) -> None:
-        for name in ("channel", "package", "die", "plane", "block", "page"):
+        if (
+            self.channel >= 0 and self.package >= 0 and self.die >= 0
+            and self.plane >= 0 and self.block >= 0 and self.page >= 0
+        ):
+            return
+        for name in _FIELDS:
             if getattr(self, name) < 0:
                 raise AddressError(f"negative {name} in {self!r}")
 
@@ -54,6 +62,25 @@ class FlashGeometry:
 
     def __init__(self, config: FlashConfig) -> None:
         self.config = config
+        # Fan-out per address field, in _FIELDS order; check() runs once per
+        # flash command and FTL write, so it must not walk config properties.
+        self._fanout = (
+            config.channels,
+            config.packages_per_channel,
+            config.dies_per_package,
+            config.planes_per_die,
+            config.blocks_per_plane,
+            config.pages_per_block,
+        )
+        # Pages under one channel, package, die, plane and block.
+        self._strides = (
+            config.pages_per_channel,
+            config.dies_per_package * config.pages_per_die,
+            config.pages_per_die,
+            config.pages_per_plane,
+            config.pages_per_block,
+        )
+        self._total_pages = config.total_pages
 
     # --- fan-out shortcuts ---------------------------------------------------
     @property
@@ -75,14 +102,14 @@ class FlashGeometry:
     # --- flat <-> structured -------------------------------------------------
     def to_physical(self, flat: int) -> PhysicalAddress:
         """Convert a flat physical page index to a structured address."""
-        if not (0 <= flat < self.total_pages):
-            raise AddressError(f"flat page {flat} outside [0, {self.total_pages})")
-        cfg = self.config
-        channel, rest = divmod(flat, cfg.pages_per_channel)
-        package, rest = divmod(rest, cfg.dies_per_package * cfg.pages_per_die)
-        die, rest = divmod(rest, cfg.pages_per_die)
-        plane, rest = divmod(rest, cfg.pages_per_plane)
-        block, page = divmod(rest, cfg.pages_per_block)
+        if not (0 <= flat < self._total_pages):
+            raise AddressError(f"flat page {flat} outside [0, {self._total_pages})")
+        per_channel, per_package, per_die, per_plane, per_block = self._strides
+        channel, rest = divmod(flat, per_channel)
+        package, rest = divmod(rest, per_package)
+        die, rest = divmod(rest, per_die)
+        plane, rest = divmod(rest, per_plane)
+        block, page = divmod(rest, per_block)
         return PhysicalAddress(channel, package, die, plane, block, page)
 
     def to_flat(self, addr: PhysicalAddress) -> int:
@@ -104,16 +131,14 @@ class FlashGeometry:
         :class:`repro.ssd.controller.FlashCommand` can validate addresses at
         construction rather than first failing deep inside ``submit``.
         """
-        cfg = self.config
-        limits = (
-            ("channel", addr.channel, cfg.channels),
-            ("package", addr.package, cfg.packages_per_channel),
-            ("die", addr.die, cfg.dies_per_package),
-            ("plane", addr.plane, cfg.planes_per_die),
-            ("block", addr.block, cfg.blocks_per_plane),
-            ("page", addr.page, cfg.pages_per_block),
-        )
-        for name, value, limit in limits:
+        channels, packages, dies, planes, blocks, pages = self._fanout
+        if (
+            addr.channel < channels and addr.package < packages and addr.die < dies
+            and addr.plane < planes and addr.block < blocks and addr.page < pages
+        ):
+            return
+        for name, limit in zip(_FIELDS, self._fanout):
+            value = getattr(addr, name)
             if value >= limit:
                 raise AddressError(f"{name}={value} exceeds fan-out {limit} in {addr!r}")
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cfp32.circuits import MacDesign
 from repro.config import ECSSDConfig
-from repro.core.event_backend import EventBackedTiming
+from repro.core.event_backend import INT4_REGION_PAGE, EventBackedTiming
 from repro.core.pipeline import PipelineFeatures, TilePipelineModel, TileWorkload
 from repro.errors import ConfigurationError
 from repro.layout.learned import HotnessPredictor, LearnedInterleaving
@@ -102,6 +102,57 @@ class TestEventTileTiming:
             backend.run([], [], 8, 256, 1024, 128)
         with pytest.raises(ConfigurationError):
             backend.run([placement], [], 8, 256, 1024, 128)
+
+
+HOMOGENEOUS = PipelineFeatures(
+    mac_design=MacDesign.ALIGNMENT_FREE, heterogeneous=False, overlap=True
+)
+
+
+class TestTileRegions:
+    """Tiles must not share logical pages, silently or otherwise."""
+
+    def run_two(self, generator, backend, tile_spacing):
+        placements = [make_placement(generator, t, learned=False) for t in range(2)]
+        candidate_sets = [candidates_for(generator, t) for t in range(2)]
+        return backend.run(
+            placements, candidate_sets, batch=8, shrunk_dim=256,
+            hidden_dim=1024, int4_bytes=TILE * 128, tile_spacing=tile_spacing,
+        )
+
+    def test_spacing_below_tile_pages_rejected(self, generator):
+        # 2048 one-page vectors over 8 channels: 256 pages per channel.
+        backend = EventBackedTiming()
+        with pytest.raises(ConfigurationError, match="tile 0 needs 256 pages per channel"):
+            self.run_two(generator, backend, tile_spacing=16)
+        assert backend.device.ftl.pages_written == 0
+
+    def test_spacing_equal_to_tile_pages_writes_every_page(self, generator):
+        backend = EventBackedTiming()
+        self.run_two(generator, backend, tile_spacing=256)
+        assert backend.device.ftl.pages_written == 2 * TILE
+
+    def test_homogeneous_int4_pages_count_against_spacing(self, generator):
+        # 4096 INT4 pages are 512 per channel, more than the 256 FP32 pages:
+        # they decide whether consecutive tiles' INT4 regions overlap.
+        backend = EventBackedTiming(features=HOMOGENEOUS)
+        placements = [make_placement(generator, 0, learned=False)] * 2
+        with pytest.raises(ConfigurationError, match="needs 512 pages per channel"):
+            backend.run(
+                placements, [np.array([0])] * 2, batch=8, shrunk_dim=256,
+                hidden_dim=1024, int4_bytes=TILE * 8192, tile_spacing=300,
+            )
+
+    def test_fp32_pages_reaching_int4_region_rejected(self, generator):
+        placement = make_placement(generator, 0, learned=False)
+        candidates = candidates_for(generator, 0)
+        backend = EventBackedTiming(features=HOMOGENEOUS)
+        kwargs = dict(batch=8, shrunk_dim=256, hidden_dim=1024, int4_bytes=TILE * 128)
+        with pytest.raises(ConfigurationError, match="reaches the INT4 region"):
+            backend.time_tile(placement, candidates, INT4_REGION_PAGE - 255, **kwargs)
+        assert backend.device.ftl.pages_written == 0
+        # The last base whose 256 pages end just below the region is fine.
+        backend.time_tile(placement, candidates, INT4_REGION_PAGE - 256, **kwargs)
 
 
 class TestBackendAgreement:

@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import FlashConfig
 from repro.errors import AddressError
+from repro.ssd.controller import CommandKind, FlashCommand
 from repro.ssd.geometry import FlashGeometry, LogicalAddress, PhysicalAddress
+
+FIELDS = ("channel", "package", "die", "plane", "block", "page")
+# small_config()'s fan-out per field.
+FANOUT = {"channel": 4, "package": 2, "die": 2, "plane": 2, "block": 8, "page": 16}
 
 
 def small_config() -> FlashConfig:
@@ -83,6 +88,54 @@ class TestConversions:
         geometry = FlashGeometry(small_config())
         addr = PhysicalAddress(ch, pkg, die, plane, block, page)
         assert geometry.to_physical(geometry.to_flat(addr)) == addr
+
+
+def address_text(fields) -> str:
+    inner = ", ".join(f"{name}={fields[name]}" for name in FIELDS)
+    return f"PhysicalAddress({inner})"
+
+
+class TestValidationMessages:
+    """The exact AddressError texts, pinned per field."""
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_negative_field_message(self, name):
+        fields = dict.fromkeys(FIELDS, 1)
+        fields[name] = -1
+        with pytest.raises(AddressError) as excinfo:
+            PhysicalAddress(**fields)
+        assert str(excinfo.value) == f"negative {name} in {address_text(fields)}"
+
+    def test_first_negative_field_is_named(self):
+        with pytest.raises(AddressError, match="^negative die in"):
+            PhysicalAddress(0, 0, -2, 0, -1, -3)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_field_at_fanout_limit_message(self, geometry, name):
+        fields = dict.fromkeys(FIELDS, 0)
+        fields[name] = FANOUT[name]
+        with pytest.raises(AddressError) as excinfo:
+            geometry.check(PhysicalAddress(**fields))
+        assert str(excinfo.value) == (
+            f"{name}={FANOUT[name]} exceeds fan-out {FANOUT[name]}"
+            f" in {address_text(fields)}"
+        )
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_field_below_limit_passes(self, geometry, name):
+        fields = dict.fromkeys(FIELDS, 0)
+        fields[name] = FANOUT[name] - 1
+        geometry.check(PhysicalAddress(**fields))
+
+    def test_first_field_over_limit_is_named(self, geometry):
+        with pytest.raises(AddressError, match="^plane=5 exceeds fan-out 2 in"):
+            geometry.check(PhysicalAddress(0, 0, 0, 5, 99, 99))
+
+    def test_flash_command_rejects_out_of_range_at_construction(self, geometry):
+        with pytest.raises(AddressError, match="^block=8 exceeds fan-out 8 in"):
+            FlashCommand(CommandKind.READ, PhysicalAddress(0, 0, 0, 0, 8, 0), geometry)
+        command = FlashCommand(CommandKind.READ, PhysicalAddress(3, 1, 1, 1, 7, 15), geometry)
+        assert command.address.page == 15
 
 
 class TestDerivedViews:
