@@ -1145,6 +1145,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run(args)
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a float that is finite and greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def _add_verbose(parser: argparse.ArgumentParser, dest: str = "verbose") -> None:
     parser.add_argument(
         "-v",
@@ -1373,11 +1386,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", default="GNMT-E32K", help="Table 3 benchmark name"
     )
     serve.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=_positive_finite, default=None,
         help="offered load in queries/s (default: the saturating rate)",
     )
     serve.add_argument(
-        "--duration", type=float, default=1.0,
+        "--duration", type=_positive_finite, default=1.0,
         help="simulated seconds of arrivals to generate",
     )
     serve.add_argument(

@@ -50,7 +50,7 @@ from ..obs.digest import DigestRecorder
 from ..serve.admission import AdmissionConfig, AdmissionController
 from ..serve.degrade import DegradationLadder
 from ..serve.node import ServiceNodeCore
-from ..serve.request import Request
+from ..serve.request import Request, check_arrivals
 from ..serve.router import MERGE_ENTRY_BYTES
 from ..serve.scheduler import AffineServiceModel, DeadlineBatcher
 from ..sim.kernel import EventKernel
@@ -173,14 +173,12 @@ class ClusterSimulator:
         by default they are drawn from the seeded Zipf stream
         (:func:`~repro.cluster.cache.zipf_keys`).  Every call replays on
         fresh nodes, caches and autoscaler, so a reused simulator reproduces
-        its first report.  Raises :class:`~repro.errors.SimulationError`
-        when conservation breaks or work is left behind.
+        its first report.  Raises :class:`~repro.errors.WorkloadError` on
+        an arrival stream :func:`~repro.serve.request.check_arrivals`
+        rejects, and :class:`~repro.errors.SimulationError` when
+        conservation breaks or work is left behind.
         """
-        times = np.asarray(arrivals, dtype=np.float64)
-        if times.size == 0:
-            raise WorkloadError("no arrivals to serve")
-        if np.any(np.diff(times) < 0):
-            raise WorkloadError("arrival times must be non-decreasing")
+        times = check_arrivals(arrivals)
         if keys is None:
             keys = zipf_keys(
                 int(times.size),

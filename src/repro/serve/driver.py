@@ -42,10 +42,10 @@ from .degrade import DegradationLadder
 from .node import ServiceNodeCore
 from .request import (
     BatchRecord,
-    CompletedRequest,
     Request,
     ServingReport,
     ShedRequest,
+    check_arrivals,
 )
 from .router import ReplicaState, Router, build_replicas
 from .scheduler import AffineServiceModel, DeadlineBatcher
@@ -56,17 +56,6 @@ logger = logging.getLogger(__name__)
 _KIND_COMPLETION = 0
 _KIND_DEADLINE = 1
 _KIND_ARRIVAL = 2
-
-
-@dataclass(frozen=True)
-class _InflightBatch:
-    """A dispatched batch waiting for its completion event."""
-
-    replica: ReplicaState
-    requests: Tuple[Request, ...]
-    dispatch_time: float
-    completion: float
-    degrade_level: int
 
 
 class ServingSimulator:
@@ -111,7 +100,7 @@ class ServingSimulator:
         return core.pressure(self.router.inflight_requests, fallback)
 
     def _has_idle_replica(self) -> bool:
-        return any(r.outstanding_batches == 0 for r in self.router.replicas)
+        return self.router.idle_replicas > 0
 
     def run(
         self,
@@ -123,15 +112,14 @@ class ServingSimulator:
 
         ``tenants``/``priorities`` optionally label each arrival; defaults
         are a single tenant at priority 0.  Returns the
-        :class:`~repro.serve.request.ServingReport`; raises
+        :class:`~repro.serve.request.ServingReport`.  Raises
+        :class:`~repro.errors.WorkloadError` before anything is scheduled
+        when ``arrivals`` is not a 1-D, finite, non-negative, non-decreasing
+        stream (:func:`~repro.serve.request.check_arrivals`), and
         :class:`~repro.errors.SimulationError` if the conservation invariant
         (admitted + shed == arrived) breaks or work is left behind.
         """
-        times = np.asarray(arrivals, dtype=np.float64)
-        if times.size == 0:
-            raise WorkloadError("no arrivals to serve")
-        if np.any(np.diff(times) < 0):
-            raise WorkloadError("arrival times must be non-decreasing")
+        times = check_arrivals(arrivals)
         if tenants is not None and len(tenants) != times.size:
             raise WorkloadError("tenants must align with arrivals")
         if priorities is not None and len(priorities) != times.size:
@@ -143,8 +131,15 @@ class ServingSimulator:
             )
         self._runs += 1
         core = ServiceNodeCore(self.admission, self.batcher, self.ladder)
-        inflight: Dict[int, _InflightBatch] = {}
-        completed: List[CompletedRequest] = []
+        router = self.router
+        slo = self.slo
+        # kernel token -> (replica, requests, row of the batch in `batches`)
+        inflight: Dict[int, Tuple[ReplicaState, List[Request], int]] = {}
+        # Completed requests in completion-event order, and the `batches`
+        # row of each completion event; ServingReport.from_batches turns
+        # them into columns.
+        completed: List[Request] = []
+        completed_rows: List[int] = []
         shed: List[ShedRequest] = []
         batches: List[BatchRecord] = []
 
@@ -161,15 +156,15 @@ class ServingSimulator:
             }
 
         kernel = EventKernel("serve", self.digest_recorder, snapshot)
-        for index in range(int(times.size)):
-            kernel.push(float(times[index]), _KIND_ARRIVAL, index)
+        for index, arrival_time in enumerate(times.tolist()):
+            kernel.push(arrival_time, _KIND_ARRIVAL, index)
 
         registry = get_registry()
         tracer = get_tracer()
         collector = get_collector()
 
         def dispatch(now: float) -> None:
-            replica = self.router.route()
+            replica = router.route()
             if replica is None:
                 raise SimulationError("dispatch with no replica capacity")
             fault_pressure = (
@@ -179,22 +174,16 @@ class ServingSimulator:
             batch = core.form_batch()
             if not batch:
                 raise SimulationError("dispatch from an empty queue")
-            duration = self.router.batch_time_on(
+            duration = router.batch_time_on(
                 replica,
                 len(batch),
                 candidate_scale=self.ladder.candidate_scale,
                 top_k_scale=self.ladder.top_k_scale,
             )
             completion = now + duration
-            self.router.acquire(replica, len(batch))
+            router.acquire(replica, len(batch))
             token = kernel.seq
-            inflight[token] = _InflightBatch(
-                replica=replica,
-                requests=tuple(batch),
-                dispatch_time=now,
-                completion=completion,
-                degrade_level=level,
-            )
+            inflight[token] = (replica, batch, len(batches))
             kernel.push(completion, _KIND_COMPLETION, token)
             if registry.enabled:
                 registry.counter(
@@ -232,7 +221,7 @@ class ServingSimulator:
             )
 
         def drain(now: float) -> None:
-            while core.depth > 0 and self.router.has_capacity():
+            while router.has_capacity() and core.depth > 0:
                 must = core.should_close(now)
                 eager = self.eager_when_idle and self._has_idle_replica()
                 if not (must or eager):
@@ -241,50 +230,39 @@ class ServingSimulator:
 
         for now, kind, _seq, payload in kernel.drain():
             if kind == _KIND_COMPLETION:
-                batch_state = inflight.pop(payload)
-                self.router.release(
-                    batch_state.replica, len(batch_state.requests)
-                )
-                for request in batch_state.requests:
-                    record = CompletedRequest(
-                        request=request,
-                        dispatch_time=batch_state.dispatch_time,
-                        completion=batch_state.completion,
-                        degrade_level=batch_state.degrade_level,
-                        replica=batch_state.replica.index,
-                    )
-                    completed.append(record)
-                    if collector.enabled:
-                        collector.on_serve_complete(
-                            request.request_id,
-                            request.arrival,
-                            batch_state.dispatch_time,
-                            batch_state.completion,
-                            batch_state.degrade_level,
-                        )
-                    if registry.enabled:
-                        registry.histogram(
-                            "serve_request_latency_seconds",
-                            "admitted-request latency through the serving layer",
-                        ).observe(record.latency, level=record.degrade_level)
+                replica, requests, row = inflight.pop(payload)
+                router.release(replica, len(requests))
+                completed.extend(requests)
+                completed_rows.append(row)
+                if collector.enabled or registry.enabled:
+                    record = batches[row]
+                    for request in requests:
+                        if collector.enabled:
+                            collector.on_serve_complete(
+                                request.request_id,
+                                request.arrival,
+                                record.start,
+                                record.end,
+                                record.degrade_level,
+                            )
+                        if registry.enabled:
+                            registry.histogram(
+                                "serve_request_latency_seconds",
+                                "admitted-request latency through the "
+                                "serving layer",
+                            ).observe(
+                                record.end - request.arrival,
+                                level=record.degrade_level,
+                            )
                 drain(now)
             elif kind == _KIND_DEADLINE:
                 if core.is_waiting(payload):
                     drain(now)
-            else:  # arrival
-                arrival_time = float(times[payload])
+            else:  # arrival: the event fires at the request's arrival time
                 tenant = tenants[payload] if tenants is not None else "default"
                 priority = priorities[payload] if priorities is not None else 0
-                request = Request(
-                    request_id=payload,
-                    arrival=arrival_time,
-                    deadline=arrival_time + self.slo,
-                    tenant=tenant,
-                    priority=priority,
-                )
-                reason = core.offer(
-                    request, self.router.inflight_requests, now
-                )
+                request = Request(payload, now, now + slo, tenant, priority)
+                reason = core.offer(request, router.inflight_requests, now)
                 if registry.enabled:
                     registry.counter(
                         "serve_requests_total", "requests offered to the serving layer"
@@ -317,18 +295,19 @@ class ServingSimulator:
                 f"{len(completed)} completed + {len(shed)} shed "
                 f"!= {times.size} arrived"
             )
-        completed.sort(key=lambda c: (c.completion, c.request.request_id))
         if self.digest_recorder is not None:
             # End-of-run checkpoint: catches tail perturbations shorter than
             # one digest interval.
             final_time = max(
-                (c.completion for c in completed), default=float(times[-1])
+                (b.end for b in batches), default=float(times[-1])
             )
             self.digest_recorder.capture(final_time, kind=-1, **snapshot())
-        report = ServingReport(
+        sizes = [batches[row].size for row in completed_rows]
+        report = ServingReport.from_batches(
             slo=self.slo,
             arrived=int(times.size),
-            completed=completed,
+            requests=completed,
+            rows=np.repeat(np.array(completed_rows, dtype=np.int64), sizes),
             shed=shed,
             batches=batches,
         )

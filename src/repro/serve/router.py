@@ -151,15 +151,19 @@ class Router:
         self.pipeline_depth = pipeline_depth
         self.top_k = top_k
         self.merge_bandwidth = merge_bandwidth
-
-    @property
-    def inflight_requests(self) -> int:
-        return sum(r.outstanding_requests for r in self.replicas)
+        # Running counts over the replicas, kept by acquire/release (the only
+        # code that moves ``outstanding_*``) so the per-event capacity checks
+        # are O(1): requests in flight, full pipelines, idle groups.
+        self.inflight_requests = sum(r.outstanding_requests for r in replicas)
+        self.full_replicas = sum(
+            1 for r in replicas if r.outstanding_batches >= pipeline_depth
+        )
+        self.idle_replicas = sum(
+            1 for r in replicas if r.outstanding_batches == 0
+        )
 
     def has_capacity(self) -> bool:
-        return any(
-            r.outstanding_batches < self.pipeline_depth for r in self.replicas
-        )
+        return self.full_replicas < len(self.replicas)
 
     def route(self) -> Optional[ReplicaState]:
         """Least-outstanding replica group, weighted by shard heat.
@@ -220,13 +224,23 @@ class Router:
                 f"replica {replica.index} pipeline is full "
                 f"({replica.outstanding_batches}/{self.pipeline_depth})"
             )
+        if replica.outstanding_batches == 0:
+            self.idle_replicas -= 1
         replica.outstanding_batches += 1
         replica.outstanding_requests += batch
+        self.inflight_requests += batch
+        if replica.outstanding_batches == self.pipeline_depth:
+            self.full_replicas += 1
 
     def release(self, replica: ReplicaState, batch: int) -> None:
         if replica.outstanding_batches <= 0 or replica.outstanding_requests < batch:
             raise SimulationError(
                 f"replica {replica.index} released more work than it holds"
             )
+        if replica.outstanding_batches == self.pipeline_depth:
+            self.full_replicas -= 1
         replica.outstanding_batches -= 1
         replica.outstanding_requests -= batch
+        self.inflight_requests -= batch
+        if replica.outstanding_batches == 0:
+            self.idle_replicas += 1

@@ -22,7 +22,7 @@ degradation and sharding) and fixed work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.batching import BatchPoint, optimal_batch
 from ..errors import ConfigurationError
@@ -165,13 +165,6 @@ class DeadlineBatcher:
             return True
         head = queue.peek()
         return head is not None and now >= self.close_time(head)
-
-    def next_close_time(self, queue: RequestQueue) -> Optional[float]:
-        """When the current head's slack expires (None on an empty queue)."""
-        head = queue.peek()
-        if head is None:
-            return None
-        return self.close_time(head)
 
     def form_batch(self, queue: RequestQueue) -> List[Request]:
         """Pop the next batch — never more than the knee B*."""

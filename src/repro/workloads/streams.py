@@ -27,8 +27,8 @@ from ..errors import WorkloadError
 
 def poisson_arrivals(rate: float, num_queries: int, seed: int = 0) -> np.ndarray:
     """Arrival timestamps of a Poisson process at ``rate`` queries/s."""
-    if rate <= 0:
-        raise WorkloadError("rate must be positive")
+    if not (np.isfinite(rate) and rate > 0):
+        raise WorkloadError(f"rate must be positive and finite, got {rate}")
     if num_queries <= 0:
         raise WorkloadError("num_queries must be positive")
     rng = np.random.default_rng(seed)
@@ -50,6 +50,10 @@ def bursty_arrivals(
     the rest at ``base_rate``.  Phase lengths are geometric around
     ``mean_phase_queries``.
     """
+    if not (np.isfinite(base_rate) and np.isfinite(burst_rate)):
+        raise WorkloadError(
+            f"rates must be finite, got base {base_rate}, burst {burst_rate}"
+        )
     if base_rate <= 0 or burst_rate <= base_rate:
         raise WorkloadError("need burst_rate > base_rate > 0")
     if num_queries <= 0:

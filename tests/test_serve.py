@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cli import main
+from repro.cluster import ClusterConfig, build_cluster
 from repro.core.batching import BatchPoint
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.obs import SERVE_TRACK
@@ -440,3 +442,74 @@ class TestServeObservability:
         with obs.configure(install=True):
             traced = run_at(2.0, seed=9)
         np.testing.assert_array_equal(quiet.latencies(), traced.latencies())
+
+
+#: Arrival streams both simulators reject up front, with the message each
+#: must match (it names the first offending index).
+BAD_ARRIVALS = [
+    ([0.0, float("nan"), 1.0], "finite: arrival 1 is nan"),
+    ([0.0, 0.5, float("inf")], "finite: arrival 2 is inf"),
+    ([-1.0, 0.0], "non-negative: arrival 0 is -1.0"),
+    ([0.0, 0.002, 0.001], r"non-decreasing: arrival 2 \(0.001\) precedes"),
+    ([[0.0, 0.001], [0.002, 0.003]], r"1-D array, got shape \(2, 2\)"),
+    ([], "no arrivals"),
+]
+
+FLEET_SERVICE = AffineServiceModel(base=5e-4, per_query=2e-5, knee=16)
+FLEET_CONFIG = ClusterConfig(
+    data_nodes=4, service_nodes=1, shards=2, replicas=4, racks=2,
+    slots_per_node=2, slo=0.05,
+)
+
+
+def _serve_simulator():
+    return build_serving_stack(SERVICE, CONFIG)
+
+
+def _fleet_simulator():
+    return build_cluster(FLEET_SERVICE, FLEET_CONFIG)
+
+
+class TestArrivalValidation:
+    @pytest.mark.parametrize("build", [_serve_simulator, _fleet_simulator])
+    @pytest.mark.parametrize("arrivals,message", BAD_ARRIVALS)
+    def test_bad_arrivals_rejected_before_any_event(self, build, arrivals, message):
+        simulator = build()
+        with pytest.raises(WorkloadError, match=message) as excinfo:
+            simulator.run(arrivals)
+        assert "\n" not in str(excinfo.value)
+        # Nothing ran: the same instance still reproduces a fresh run.
+        good = poisson_arrivals(200.0, 50, seed=1)
+        assert simulator.run(good).to_dict() == build().run(good).to_dict()
+
+    @pytest.mark.parametrize("build", [_serve_simulator, _fleet_simulator])
+    def test_equal_timestamps_and_zero_start_accepted(self, build):
+        report = build().run([0.0, 0.0, 0.001, 0.001, 0.001])
+        assert report.arrived == 5
+
+
+class TestServeCliInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rate", "nan"],
+            ["--rate", "inf"],
+            ["--rate", "0"],
+            ["--rate", "-5"],
+            ["--rate", "fast"],
+            ["--duration", "nan"],
+            ["--duration", "inf"],
+            ["--duration", "0"],
+            ["--duration", "-1"],
+        ],
+    )
+    def test_bad_rate_or_duration_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert excinfo.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro serve: error: argument {argv[0]}:")

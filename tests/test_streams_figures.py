@@ -46,6 +46,15 @@ class TestArrivals:
         with pytest.raises(WorkloadError):
             bursty_arrivals(100.0, 200.0, 10, burst_fraction=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rates_rejected(self, rate):
+        with pytest.raises(WorkloadError, match="finite"):
+            poisson_arrivals(rate, 10)
+        with pytest.raises(WorkloadError, match="finite"):
+            bursty_arrivals(100.0, rate, 10)
+        with pytest.raises(WorkloadError, match="finite"):
+            bursty_arrivals(rate, 200.0, 10)
+
     def test_bursty_rejects_nonpositive_counts(self):
         # Regression: these used to slip past validation and fail deep in
         # numpy (empty cumsum / ZeroDivisionError) instead of WorkloadError.
