@@ -257,7 +257,7 @@ def run_serve_cell(
         "slo_attainment": float(report.slo_attainment),
         "max_degrade_level": float(report.max_degrade_level),
     }
-    if report.completed:
+    if report.admitted:  # every admitted request completes
         metrics["p99_ms"] = float(report.p99) * 1e3
         metrics["p50_ms"] = float(report.p50) * 1e3
     return metrics
